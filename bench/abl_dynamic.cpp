@@ -25,11 +25,12 @@ constexpr std::uint64_t kBytes = 512;
 int pattern(int i, int peers) { return (i * 7) % peers + 1; }
 
 double run_scatter(bool dynamic, int nodes) {
-  sim::Simulator sim;
+  sim::ShardEngine engine(1);
+  sim::Simulator& sim = engine.shard(0);
   cluster::SystemConfig cfg = cluster::SystemConfig::table2();
   cfg.dram_bytes = 4u << 20;
   cfg.triggered.table.lookup = core::LookupKind::kHash;
-  cluster::Cluster cl(sim, cfg, nodes);
+  cluster::Cluster cl(engine, cfg, nodes);
   auto& origin = cl.node(0);
   int peers = nodes - 1;
 

@@ -29,11 +29,12 @@ Result run_granularity(int num_msgs, int writes_per_msg, int num_wgs) {
   const std::uint64_t kTotalBytes = 64 * 1024;
   const std::uint64_t msg_bytes = kTotalBytes / num_msgs;
 
-  sim::Simulator sim;
+  sim::ShardEngine engine(1);
+  sim::Simulator& sim = engine.shard(0);
   cluster::SystemConfig cfg = cluster::SystemConfig::table2();
   cfg.dram_bytes = 8u << 20;
   cfg.triggered.table.lookup = core::LookupKind::kHash;
-  cluster::Cluster cl(sim, cfg, 2);
+  cluster::Cluster cl(engine, cfg, 2);
   auto& a = cl.node(0);
   auto& b = cl.node(1);
 

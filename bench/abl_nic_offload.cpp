@@ -31,7 +31,8 @@ cluster::SystemConfig config() {
 }
 
 struct Ring {
-  explicit Ring(sim::Simulator& sim, int n) : cluster(sim, config(), n) {
+  explicit Ring(sim::ShardEngine& engine, int n)
+      : cluster(engine, config(), n) {
     for (int i = 0; i < n; ++i) {
       buf.push_back(cluster.node(i).memory().alloc(kBytes));
       flag.push_back(cluster.node(i).rt().alloc_flag());
@@ -45,8 +46,9 @@ struct Ring {
 
 /// GPU relay: intermediate kernels poll + trigger.
 double run_gpu_relay(int n) {
-  sim::Simulator sim;
-  Ring r(sim, n);
+  sim::ShardEngine engine(1);
+  sim::Simulator& sim = engine.shard(0);
+  Ring r(engine, n);
   for (int i = 0; i < n - 1; ++i) {
     auto& node = r.cluster.node(i);
     nic::PutDesc put;
@@ -82,8 +84,9 @@ double run_gpu_relay(int n) {
 
 /// NIC relay: pre-staged chain, processor-free forwarding.
 double run_nic_relay(int n) {
-  sim::Simulator sim;
-  Ring r(sim, n);
+  sim::ShardEngine engine(1);
+  sim::Simulator& sim = engine.shard(0);
+  Ring r(engine, n);
   for (int i = 1; i < n - 1; ++i) {
     auto& node = r.cluster.node(i);
     nic::PutDesc put;

@@ -15,11 +15,12 @@ using namespace gputn;
 namespace {
 
 double run_once(int ops, bool relaxed) {
-  sim::Simulator sim;
+  sim::ShardEngine engine(1);
+  sim::Simulator& sim = engine.shard(0);
   cluster::SystemConfig cfg = cluster::SystemConfig::table2();
   cfg.dram_bytes = 8u << 20;
   cfg.triggered.table.lookup = core::LookupKind::kHash;
-  cluster::Cluster cl(sim, cfg, 2);
+  cluster::Cluster cl(engine, cfg, 2);
   auto& a = cl.node(0);
   auto& b = cl.node(1);
 

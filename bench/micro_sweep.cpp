@@ -64,8 +64,8 @@ double timed_run(const exp::Plan& plan, int jobs,
 double setup_us_once() {
   double t0 = now_s();
   {
-    sim::Simulator sim;
-    cluster::Cluster cl(sim, cluster::SystemConfig::table2(), 4);
+    sim::ShardEngine engine(1);
+    cluster::Cluster cl(engine, cluster::SystemConfig::table2(), 4);
   }
   return (now_s() - t0) * 1e6;
 }

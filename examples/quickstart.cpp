@@ -20,10 +20,11 @@
 using namespace gputn;
 
 int main() {
-  sim::Simulator sim;
+  sim::ShardEngine engine(1);
+  sim::Simulator& sim = engine.shard(0);
   cluster::SystemConfig config = cluster::SystemConfig::table2();
   config.dram_bytes = 8u << 20;
-  cluster::Cluster cluster(sim, config, /*nodes=*/2);
+  cluster::Cluster cluster(engine, config, /*nodes=*/2);
 
   auto& initiator = cluster.node(0);
   auto& target = cluster.node(1);

@@ -17,10 +17,11 @@ using namespace gputn;
 int main(int argc, char** argv) {
   const char* path = argc > 1 ? argv[1] : "gputn_trace.json";
 
-  sim::Simulator sim;
+  sim::ShardEngine engine(1);
+  sim::Simulator& sim = engine.shard(0);
   cluster::SystemConfig config = cluster::SystemConfig::table2();
   config.dram_bytes = 8u << 20;
-  cluster::Cluster cluster(sim, config, 2);
+  cluster::Cluster cluster(engine, config, 2);
   sim::TraceRecorder trace;
   cluster.enable_tracing(trace);
 

@@ -30,22 +30,8 @@ void Cluster::install_faults() {
   config_.nic.reliability.enabled = true;
 }
 
-Cluster::Cluster(sim::Simulator& sim, SystemConfig config, int node_count)
-    : sim_(&sim), config_(std::move(config)), fabric_(sim, config_.fabric) {
-  install_faults();
-  nodes_.reserve(node_count);
-  for (int i = 0; i < node_count; ++i) {
-    nodes_.push_back(std::make_unique<Node>(sim, fabric_, config_));
-  }
-  // All nodes are attached: build the switch graph now, so a bad topology
-  // spec throws std::invalid_argument here instead of surfacing as a
-  // mysterious stall on the first in-simulation send.
-  fabric_.finalize();
-}
-
 Cluster::Cluster(sim::ShardEngine& engine, SystemConfig config, int node_count)
-    : sim_(&engine.shard(0)),
-      engine_(&engine),
+    : engine_(engine),
       config_(std::move(config)),
       fabric_(engine.shard(0), config_.fabric) {
   const int S = engine.shards();
@@ -61,13 +47,16 @@ Cluster::Cluster(sim::ShardEngine& engine, SystemConfig config, int node_count)
     nodes_.push_back(
         std::make_unique<Node>(fabric_.node_sim(i), fabric_, config_));
   }
+  // All nodes are attached: build the switch graph now, so a bad topology
+  // spec throws std::invalid_argument here instead of surfacing as a
+  // mysterious stall on the first in-simulation send.
   fabric_.finalize();
 }
 
 void Cluster::export_net_stats(sim::StatRegistry& out, sim::Tick window) const {
   fabric_.export_stats(out);
   if (fault_) fault_->export_stats(out);
-  sim::Tick now = sim_->now();
+  sim::Tick now = engine_.shard(0).now();
   out.counter("util.window_ps") +=
       static_cast<std::uint64_t>(window >= 0 ? window : now);
   for (int i = 0; i < static_cast<int>(nodes_.size()); ++i) {
@@ -87,8 +76,8 @@ void Cluster::export_net_stats(sim::StatRegistry& out, sim::Tick window) const {
   // util.shard* before comparing stats across shard counts. Gated to
   // multi-shard runs so --shards 1 exports are byte-identical to the
   // sequential seed's.
-  if (engine_ != nullptr && engine_->shards() > 1) {
-    const auto& ss = engine_->shard_stats();
+  if (engine_.shards() > 1) {
+    const auto& ss = engine_.shard_stats();
     for (std::size_t i = 0; i < ss.size(); ++i) {
       std::string p = "util.shard" + std::to_string(i);
       out.counter(p + ".busy_ps") += ss[i].busy_ps;
@@ -98,9 +87,9 @@ void Cluster::export_net_stats(sim::StatRegistry& out, sim::Tick window) const {
       out.counter(p + ".barrier.capacity") += 1;
       out.counter(p + ".barrier.ops") += ss[i].barrier_waits;
     }
-    out.counter("util.engine.rounds") += engine_->rounds();
+    out.counter("util.engine.rounds") += engine_.rounds();
     out.counter("util.engine.lookahead_ps") +=
-        static_cast<std::uint64_t>(engine_->lookahead());
+        static_cast<std::uint64_t>(engine_.lookahead());
   }
   for (const auto& node : nodes_) {
     const sim::StatRegistry& s = node->nic().stats();
@@ -131,22 +120,17 @@ void Cluster::attach_flight(obs::FlightRecorder& flight) {
   wire.header_bytes = config_.fabric.header_bytes;
   wire.per_packet_overhead = config_.fabric.per_packet_overhead;
   flight.set_wire(wire);
-  if (engine_ != nullptr) {
-    // Sharded runs record into per-node spools; flush_flight() replays
-    // them into the recorder in a canonical order that is the same at
-    // every shard count (including 1 — every engine-driven run takes this
-    // path, so the dump never depends on --shards).
-    flight_ = &flight;
-    spools_.clear();
-    for (int i = 0; i < size(); ++i) {
-      spools_.push_back(
-          std::make_unique<obs::FlightSpool>(node_sim(i).now_ptr(), i));
-      nodes_[static_cast<std::size_t>(i)]->nic().set_flight(
-          spools_.back().get());
-    }
-    return;
+  // Each NIC records into its node's spool; flush_flight() replays them
+  // into the recorder in a canonical order that is the same at every shard
+  // count (including 1), so the dump never depends on --shards.
+  flight_ = &flight;
+  spools_.clear();
+  for (int i = 0; i < size(); ++i) {
+    spools_.push_back(
+        std::make_unique<obs::FlightSpool>(node_sim(i).now_ptr(), i));
+    nodes_[static_cast<std::size_t>(i)]->nic().set_flight(
+        spools_.back().get());
   }
-  for (auto& node : nodes_) node->nic().set_flight(&flight);
 }
 
 void Cluster::flush_flight() {
@@ -179,7 +163,7 @@ void Cluster::attach_timeseries(obs::TimeSeries& ts) {
                  [&gpu] { return static_cast<std::uint64_t>(
                      gpu.cu_util().in_use()); });
   }
-  ts.start(*sim_);
+  ts.start(engine_.shard(0));
 }
 
 void Cluster::enable_tracing(sim::TraceRecorder& trace) {
@@ -199,11 +183,7 @@ void Cluster::enable_tracing(sim::TraceRecorder& trace) {
 Cluster::~Cluster() {
   // Service loops (NIC engines, GPU front-ends, link pumps) hold references
   // into the nodes; destroy their frames before the nodes die.
-  if (engine_ != nullptr) {
-    engine_->reap_processes();
-  } else {
-    sim_->reap_processes();
-  }
+  engine_.reap_processes();
 }
 
 }  // namespace gputn::cluster

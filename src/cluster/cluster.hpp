@@ -52,24 +52,22 @@ class Node {
 
 class Cluster {
  public:
-  /// Build `node_count` identical nodes on `sim` with `config`.
-  Cluster(sim::Simulator& sim, SystemConfig config, int node_count);
-  /// Parallel-DES build: nodes are partitioned over the engine's shards in
-  /// balanced contiguous blocks (node i on shard i*S/node_count) and each
-  /// node's components run on its shard's simulator; the fabric places
-  /// switches and installs cross-shard hops (net::Fabric::set_sharding).
-  /// With a 1-shard engine this is exactly the sequential build.
+  /// Build `node_count` identical nodes with `config`. Nodes are
+  /// partitioned over the engine's shards in balanced contiguous blocks
+  /// (node i on shard i*S/node_count) and each node's components run on its
+  /// shard's simulator; the fabric places switches and installs cross-shard
+  /// hops (net::Fabric::set_sharding). A 1-shard engine is a plain
+  /// sequential Simulator: build on `sim::ShardEngine engine(1)` and drive
+  /// `engine.shard(0)` directly.
   Cluster(sim::ShardEngine& engine, SystemConfig config, int node_count);
   /// Reaps all service-loop processes so component destructors run safely.
   ~Cluster();
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
 
-  sim::Simulator& simulator() { return *sim_; }
-  /// The parallel engine driving this cluster, or nullptr when built on a
-  /// plain Simulator.
-  sim::ShardEngine* engine() { return engine_; }
-  /// The simulator owning node `i` (== simulator() without an engine).
+  /// The engine driving this cluster.
+  sim::ShardEngine& engine() { return engine_; }
+  /// The simulator owning node `i`.
   sim::Simulator& node_sim(int i) { return fabric_.node_sim(i); }
   int node_shard(int i) const { return fabric_.node_shard_of(i); }
   const SystemConfig& config() const { return config_; }
@@ -105,14 +103,14 @@ class Cluster {
   /// Attach a per-op flight recorder to every node's NIC and embed the
   /// fabric's wire parameters in it (the analyzer needs them to split wire
   /// serialization from switch queueing). The recorder must outlive the
-  /// run. Recording never perturbs timing or counters. Engine-driven
-  /// clusters record into per-node spools instead — call flush_flight()
-  /// after the run so the recorder sees the canonical replay order (which
-  /// makes the dump bit-identical at every shard count).
+  /// run. Recording never perturbs timing or counters. The NICs record
+  /// into per-node spools; call flush_flight() after the run so the
+  /// recorder sees the canonical replay order (which makes the dump
+  /// bit-identical at every shard count).
   void attach_flight(obs::FlightRecorder& flight);
 
   /// Replay spooled flight legs into the attached recorder (no-op without
-  /// an engine-driven attach_flight, idempotent otherwise).
+  /// attach_flight, idempotent otherwise).
   void flush_flight();
 
   /// Register this cluster's standard time-series probes on `ts` (per-link
@@ -124,8 +122,7 @@ class Cluster {
  private:
   void install_faults();
 
-  sim::Simulator* sim_;
-  sim::ShardEngine* engine_ = nullptr;
+  sim::ShardEngine& engine_;
   SystemConfig config_;
   /// Owned before fabric_ so link callbacks into injectors stay valid for
   /// the fabric's whole lifetime.

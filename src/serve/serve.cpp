@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "cluster/cluster.hpp"
+#include "cluster/completion.hpp"
 #include "nic/qp.hpp"
 #include "serve/zipf.hpp"
 #include "sim/random.hpp"
@@ -105,8 +106,8 @@ struct Workspace {
     // client-side object must live with its node. The per-node SLO
     // reporters are merged exactly (disjoint tenant sets) after the run.
     for (int c = 0; c < cfg.clients; ++c) {
-      reactors.push_back(std::make_unique<Reactor>(node_sim(c)));
-      start.push_back(std::make_unique<sim::Event>(node_sim(c)));
+      reactors.push_back(std::make_unique<Reactor>(cluster.node_sim(c)));
+      start.push_back(std::make_unique<sim::Event>(cluster.node_sim(c)));
       slo_node.push_back(std::make_unique<SloReporter>(cfg.tenants, cfg.slo));
     }
     errors_node.assign(static_cast<std::size_t>(cfg.clients), 0);
@@ -114,12 +115,10 @@ struct Workspace {
     nic::QpConfig qpc{cfg.qp_batch, cfg.qp_flush_timeout};
     for (int t = 0; t < cfg.tenants; ++t) {
       qps.push_back(std::make_unique<nic::Qp>(
-          node_sim(client_of(t)), cluster.node(client_of(t)).nic(), qpc));
+          cluster.node_sim(client_of(t)), cluster.node(client_of(t)).nic(),
+          qpc));
     }
   }
-
-  /// The simulator owning node `id` (all of them when --shards 1).
-  sim::Simulator& node_sim(int id) { return cluster.node_sim(id); }
 
   int client_of(int tenant) const { return tenant % config.clients; }
   int server_node(int s) const { return config.clients + s; }
@@ -264,7 +263,7 @@ struct Workspace {
   sim::Task<> wait_flag(int client_node, mem::Addr addr, std::uint64_t value) {
     auto& node = cluster.node(client_node);
     if (node.memory().load<std::uint64_t>(addr) >= value) co_return;
-    sim::Event ev(node_sim(client_node));
+    sim::Event ev(cluster.node_sim(client_node));
     auto& r = *reactors[static_cast<std::size_t>(client_node)];
     r.waiters.push_back({addr, value, &ev});
     r.cond.notify_all();
@@ -324,7 +323,7 @@ sim::Task<> client_worker(Workspace& w, int t, int wk) {
   const ServeConfig& cfg = w.config;
   const int cn = w.client_of(t);
   auto& node = w.cluster.node(cn);
-  auto& csim = w.node_sim(cn);
+  auto& csim = w.cluster.node_sim(cn);
   auto& cpu = node.cpu();
   auto& memory = node.memory();
   const auto& reqs = w.sched[static_cast<std::size_t>(t)];
@@ -389,7 +388,7 @@ sim::Task<> cpu_server(Workspace& w, int s, sim::Tick& ready_at) {
   auto& cpu = node.cpu();
   auto& memory = node.memory();
   auto& st = w.srv[static_cast<std::size_t>(s)];
-  ready_at = w.node_sim(w.server_node(s)).now();
+  ready_at = w.cluster.node_sim(w.server_node(s)).now();
   std::uint64_t remaining = 0;
   for (int slot : st.active) {
     remaining += st.expected[static_cast<std::size_t>(slot)];
@@ -424,7 +423,7 @@ sim::Task<> gputn_server(Workspace& w, int s, sim::Tick& ready_at) {
   auto& node = w.cluster.node(w.server_node(s));
   auto& st = w.srv[static_cast<std::size_t>(s)];
   if (st.active.empty()) {
-    ready_at = w.node_sim(w.server_node(s)).now();
+    ready_at = w.cluster.node_sim(w.server_node(s)).now();
     co_return;
   }
 
@@ -483,7 +482,7 @@ sim::Task<> gputn_server(Workspace& w, int s, sim::Tick& ready_at) {
                                     w.response_put(s, slot, round));
     }
   }
-  ready_at = w.node_sim(w.server_node(s)).now();
+  ready_at = w.cluster.node_sim(w.server_node(s)).now();
   co_await rec->done.wait();
 }
 
@@ -531,50 +530,28 @@ ServeResult run_serve(const ServeConfig& cfg,
   }
 
   Workspace w(adjusted, cfg);
-  if (cfg.trace != nullptr) w.cluster.enable_tracing(*cfg.trace);
-  if (cfg.timeseries != nullptr) w.cluster.attach_timeseries(*cfg.timeseries);
-  if (cfg.flight != nullptr) w.cluster.attach_flight(*cfg.flight);
+  workloads::attach_observers(w.cluster, cfg);
 
   for (int c = 0; c < cfg.clients; ++c) {
-    w.node_sim(c).spawn(reactor_loop(w, c), "serve-reactor");
+    w.cluster.node_sim(c).spawn(reactor_loop(w, c), "serve-reactor");
   }
-  std::vector<std::vector<sim::ProcessHandle>> by_shard(
-      static_cast<std::size_t>(w.engine.shards()));
+  // Reactors are not run processes: they idle forever and are reaped at
+  // teardown.
+  cluster::RunCompletion done(w.cluster);
   std::vector<sim::Tick> ready(static_cast<std::size_t>(cfg.servers), -1);
   for (int s = 0; s < cfg.servers; ++s) {
-    int node = w.server_node(s);
-    by_shard[static_cast<std::size_t>(w.cluster.node_shard(node))].push_back(
-        w.node_sim(node).spawn(
-            cfg.strategy == workloads::Strategy::kGpuTn
-                ? gputn_server(w, s, ready[static_cast<std::size_t>(s)])
-                : cpu_server(w, s, ready[static_cast<std::size_t>(s)]),
-            "serve-server"));
+    done.spawn(w.server_node(s),
+               cfg.strategy == workloads::Strategy::kGpuTn
+                   ? gputn_server(w, s, ready[static_cast<std::size_t>(s)])
+                   : cpu_server(w, s, ready[static_cast<std::size_t>(s)]),
+               "serve-server");
   }
   for (int t = 0; t < cfg.tenants; ++t) {
-    int node = w.client_of(t);
     for (int wk = 0; wk < cfg.window; ++wk) {
-      by_shard[static_cast<std::size_t>(w.cluster.node_shard(node))]
-          .push_back(w.node_sim(node).spawn(client_worker(w, t, wk),
-                                            "serve-client"));
+      done.spawn(w.client_of(t), client_worker(w, t, wk), "serve-client");
     }
   }
-  // Per-shard completion monitors (see allreduce.cpp for rationale);
-  // reactors are excluded — they idle forever and are reaped at teardown.
-  std::vector<sim::Tick> shard_done(by_shard.size(), -1);
-  for (std::size_t s = 0; s < by_shard.size(); ++s) {
-    if (by_shard[s].empty()) {
-      shard_done[s] = 0;
-      continue;
-    }
-    w.engine.shard(static_cast<int>(s)).spawn(
-        [](sim::Simulator& sh, std::vector<sim::ProcessHandle> hs,
-           sim::Tick& out) -> sim::Task<> {
-          co_await sim::join_all(std::move(hs));
-          out = sh.now();
-        }(w.engine.shard(static_cast<int>(s)), std::move(by_shard[s]),
-          shard_done[s]),
-        "monitor");
-  }
+  done.start_monitors();
 
   // Phase A — server setup, driven in single-tick windows so no shard
   // clock overruns the traffic-release tick (a shard hosting both a server
@@ -590,7 +567,7 @@ ServeResult run_serve(const ServeConfig& cfg,
   };
   while (!all_ready()) {
     sim::Tick g = w.engine.next_time();
-    if (g >= sim::sec(10)) {
+    if (g >= cluster::kRunBudget) {
       throw std::runtime_error("serve: server setup never completed");
     }
     w.engine.step(g);
@@ -605,19 +582,9 @@ ServeResult run_serve(const ServeConfig& cfg,
   // latency (= the engine lookahead) later.
   for (int c = 0; c < cfg.clients; ++c) {
     sim::Event* ev = w.start[static_cast<std::size_t>(c)].get();
-    w.node_sim(c).schedule_at(t_rel, [ev] { ev->trigger(); });
+    w.cluster.node_sim(c).schedule_at(t_rel, [ev] { ev->trigger(); });
   }
-  w.engine.run_until(sim::sec(10));
-  sim::Tick finished_at = -1;
-  for (sim::Tick t : shard_done) {
-    if (t < 0) {
-      throw std::runtime_error("serve: deadlocked (offered load "
-                               "unserviceable within the 10 s simulation "
-                               "budget)");
-    }
-    finished_at = std::max(finished_at, t);
-  }
-  w.cluster.flush_flight();
+  sim::Tick finished_at = done.finish("serve");
 
   ServeResult res;
   res.strategy = cfg.strategy;

@@ -3,10 +3,8 @@
 //
 // The reader (gputn::sim::json) covers the subset our own exporters emit —
 // objects, arrays, strings, numbers, bools, null — plus anything a
-// hand-edited baseline file may reasonably contain. It used to exist three
-// times (obs/json_read.hpp for report/analyze, tests/support/json_lite.hpp
-// for test assertions); the copies drifted, so the parser now lives here
-// once with both error disciplines on top of the same code path:
+// hand-edited baseline file may reasonably contain. Both error disciplines
+// sit on top of the same code path:
 //
 //   * parse()      throws std::runtime_error with a byte offset — the CLI
 //                  turns that into a nonzero exit naming the offending file

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "cluster/cluster.hpp"
+#include "cluster/completion.hpp"
 #include "sim/sync.hpp"
 
 namespace gputn::workloads {
@@ -46,7 +47,6 @@ struct Workspace {
   }
 
   /// The simulator owning node `id` (all of them when --shards 1).
-  sim::Simulator& node_sim(int id) { return cluster.node_sim(id); }
 
   sim::ShardEngine engine;
   cluster::Cluster cluster;
@@ -160,51 +160,23 @@ BroadcastResult run_broadcast(const BroadcastConfig& cfg,
   }
 
   Workspace w(adjusted, cfg);
-  if (cfg.trace != nullptr) w.cluster.enable_tracing(*cfg.trace);
-  if (cfg.timeseries != nullptr) w.cluster.attach_timeseries(*cfg.timeseries);
-  if (cfg.flight != nullptr) w.cluster.attach_flight(*cfg.flight);
-  std::vector<std::vector<sim::ProcessHandle>> by_shard(
-      static_cast<std::size_t>(w.engine.shards()));
+  attach_observers(w.cluster, cfg);
+  cluster::RunCompletion done(w.cluster);
   for (int n = 0; n < cfg.nodes; ++n) {
-    sim::ProcessHandle h;
     switch (cfg.drive) {
       case BroadcastDrive::kHdn:
-        h = w.node_sim(n).spawn(hdn_node(w, n), "bcast");
+        done.spawn(n, hdn_node(w, n), "bcast");
         break;
       case BroadcastDrive::kGpuTn:
-        h = w.node_sim(n).spawn(gputn_node(w, n, false), "bcast");
+        done.spawn(n, gputn_node(w, n, false), "bcast");
         break;
       case BroadcastDrive::kNicChain:
-        h = w.node_sim(n).spawn(gputn_node(w, n, true), "bcast");
+        done.spawn(n, gputn_node(w, n, true), "bcast");
         break;
     }
-    by_shard[static_cast<std::size_t>(w.cluster.node_shard(n))].push_back(h);
   }
-  // Per-shard completion monitors (see allreduce.cpp for rationale).
-  std::vector<sim::Tick> shard_done(by_shard.size(), -1);
-  for (std::size_t s = 0; s < by_shard.size(); ++s) {
-    if (by_shard[s].empty()) {
-      shard_done[s] = 0;
-      continue;
-    }
-    w.engine.shard(static_cast<int>(s)).spawn(
-        [](sim::Simulator& sh, std::vector<sim::ProcessHandle> hs,
-           sim::Tick& out) -> sim::Task<> {
-          co_await sim::join_all(std::move(hs));
-          out = sh.now();
-        }(w.engine.shard(static_cast<int>(s)), std::move(by_shard[s]),
-          shard_done[s]),
-        "monitor");
-  }
-  w.engine.run_until(sim::sec(10));
-  sim::Tick finished_at = -1;
-  for (sim::Tick t : shard_done) {
-    if (t < 0) {
-      throw std::runtime_error("broadcast: deadlocked");
-    }
-    finished_at = std::max(finished_at, t);
-  }
-  w.cluster.flush_flight();
+  done.start_monitors();
+  sim::Tick finished_at = done.finish("broadcast");
 
   BroadcastResult res;
   res.drive = cfg.drive;

@@ -2,7 +2,7 @@
 
 #include <cstdio>
 
-#include "cluster/config.hpp"
+#include "cluster/cluster.hpp"
 
 namespace gputn::workloads {
 
@@ -13,6 +13,12 @@ cluster::SystemConfig with_fabric_overrides(const RunOptions& opts,
   if (!opts.routing.empty()) out.fabric.routing = opts.routing;
   if (opts.credits >= 0) out.fabric.credits_per_port = opts.credits;
   return out;
+}
+
+void attach_observers(cluster::Cluster& cluster, const RunOptions& opts) {
+  if (opts.trace != nullptr) cluster.enable_tracing(*opts.trace);
+  if (opts.timeseries != nullptr) cluster.attach_timeseries(*opts.timeseries);
+  if (opts.flight != nullptr) cluster.attach_flight(*opts.flight);
 }
 
 namespace {

@@ -19,6 +19,7 @@
 #include "workloads/strategy.hpp"
 
 namespace gputn::cluster {
+class Cluster;
 struct SystemConfig;
 }  // namespace gputn::cluster
 
@@ -90,6 +91,11 @@ struct RunOptions {
 /// the command line with zero call-site recompiles.
 cluster::SystemConfig with_fabric_overrides(const RunOptions& opts,
                                             const cluster::SystemConfig& sys);
+
+/// Attach this run's observers (trace recorder, time-series sampler, flight
+/// recorder; each only when set) to `cluster`. Every workload runner makes
+/// this one call right after building its Cluster.
+void attach_observers(cluster::Cluster& cluster, const RunOptions& opts);
 
 /// Which multi-run / observer flags a command line activated. The pairwise
 /// accept/reject rules between them used to be hand-coded per flag at each

@@ -97,43 +97,28 @@ BroadcastDrive parse_drive(const std::string& s) {
 }
 
 /// Copy the shared options into a workload config; opts.nodes == 0 keeps
-/// the workload's own default node count.
+/// the workload's own default node count, and a --strategy parameter
+/// overrides opts.strategy.
 template <typename Cfg>
 Cfg make_config(const RunOptions& opts, const WorkloadParams& p) {
   Cfg cfg;
-  if (p.has("strategy")) {
-    cfg.strategy = parse_strategy(p.get("strategy", ""));
-  } else {
-    cfg.strategy = opts.strategy;
-  }
-  if (opts.nodes != 0) cfg.nodes = opts.nodes;
-  cfg.trace = opts.trace;
-  cfg.timeseries = opts.timeseries;
-  cfg.flight = opts.flight;
-  cfg.quiet = opts.quiet;
-  cfg.topology = opts.topology;
-  cfg.routing = opts.routing;
-  cfg.credits = opts.credits;
-  cfg.shards = opts.shards;
+  const int default_nodes = cfg.nodes;
+  static_cast<RunOptions&>(cfg) = opts;
+  if (opts.nodes == 0) cfg.nodes = default_nodes;
+  if (p.has("strategy")) cfg.strategy = parse_strategy(p.get("strategy", ""));
   if (cfg.shards < 1) {
     throw std::invalid_argument("--shards must be >= 1");
   }
-  // Shard rejection policy, centralized so every workload behaves the
-  // same: the trace and time-series recorders are unsynchronized pure
-  // observers, and under parallel DES workers on different shards would
-  // interleave writes into them. Reject loudly — the same stance the CLI
-  // already takes for --trace with --replicas — instead of silently
-  // serializing or racing. --flight composes (per-node spools); faults
-  // compose (per-link deterministic RNGs).
-  if (cfg.shards > 1 && cfg.trace != nullptr) {
-    throw std::invalid_argument(
-        "--shards > 1 cannot be combined with --trace (the trace recorder "
-        "is unsynchronized; run the traced run with --shards 1)");
-  }
-  if (cfg.shards > 1 && cfg.timeseries != nullptr) {
-    throw std::invalid_argument(
-        "--shards > 1 cannot be combined with --timeseries (the sampler "
-        "is unsynchronized; run the sampled run with --shards 1)");
+  // The trace and time-series recorders are unsynchronized, so the flag
+  // table rejects them under --shards > 1 (workers on different shards
+  // would interleave writes); --flight composes through per-node spools.
+  ActiveFlags active;
+  active.shards = cfg.shards > 1;
+  active.trace = cfg.trace != nullptr;
+  active.timeseries = cfg.timeseries != nullptr;
+  active.flight = cfg.flight != nullptr;
+  if (std::string conflict = flag_conflict(active); !conflict.empty()) {
+    throw std::invalid_argument(conflict);
   }
   return cfg;
 }

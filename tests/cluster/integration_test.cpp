@@ -17,8 +17,8 @@ SystemConfig small_config() {
 }
 
 TEST(Cluster, BuildsTable2Nodes) {
-  sim::Simulator sim;
-  Cluster cluster(sim, small_config(), 4);
+  sim::ShardEngine engine(1);
+  Cluster cluster(engine, small_config(), 4);
   EXPECT_EQ(cluster.size(), 4);
   for (int i = 0; i < 4; ++i) {
     EXPECT_EQ(cluster.node(i).id(), i);
@@ -31,8 +31,9 @@ TEST(Cluster, BuildsTable2Nodes) {
 // CPU registers a triggered put with threshold = #work-groups; each WG's
 // leader stores the tag after a barrier; the NIC fires when all WGs arrive.
 TEST(Cluster, GpuTnKernelLevelFlow) {
-  sim::Simulator sim;
-  Cluster cluster(sim, small_config(), 2);
+  sim::ShardEngine engine(1);
+  sim::Simulator& sim = engine.shard(0);
+  Cluster cluster(engine, small_config(), 2);
   auto& n0 = cluster.node(0);
   auto& n1 = cluster.node(1);
 
@@ -88,8 +89,9 @@ TEST(Cluster, GpuTnKernelLevelFlow) {
 // Figure 7b: work-group-level networking — one message per work-group,
 // threshold 1, tag = tagBase + group id.
 TEST(Cluster, GpuTnWorkGroupLevelFlow) {
-  sim::Simulator sim;
-  Cluster cluster(sim, small_config(), 2);
+  sim::ShardEngine engine(1);
+  sim::Simulator& sim = engine.shard(0);
+  Cluster cluster(engine, small_config(), 2);
   auto& n0 = cluster.node(0);
   auto& n1 = cluster.node(1);
 
@@ -140,8 +142,9 @@ TEST(Cluster, GpuTnWorkGroupLevelFlow) {
 // Relaxed synchronization at system level (§3.2/§4.1): the kernel is
 // launched *before* the triggered op is posted; overlap is safe.
 TEST(Cluster, GpuTnPostAfterLaunchOverlap) {
-  sim::Simulator sim;
-  Cluster cluster(sim, small_config(), 2);
+  sim::ShardEngine engine(1);
+  sim::Simulator& sim = engine.shard(0);
+  Cluster cluster(engine, small_config(), 2);
   auto& n0 = cluster.node(0);
   auto& n1 = cluster.node(1);
 
@@ -180,8 +183,9 @@ TEST(Cluster, GpuTnPostAfterLaunchOverlap) {
 
 // HDN-style kernel-boundary exchange: kernel, then host send/recv.
 TEST(Cluster, HdnSendRecvAcrossNodes) {
-  sim::Simulator sim;
-  Cluster cluster(sim, small_config(), 2);
+  sim::ShardEngine engine(1);
+  sim::Simulator& sim = engine.shard(0);
+  Cluster cluster(engine, small_config(), 2);
   auto& n0 = cluster.node(0);
   auto& n1 = cluster.node(1);
 
@@ -217,8 +221,9 @@ TEST(Cluster, HdnSendRecvAcrossNodes) {
 // GDS stream: kernel + pre-posted put; the GPU front-end rings the doorbell
 // at the kernel boundary without host involvement.
 TEST(Cluster, GdsStreamPutAtKernelBoundary) {
-  sim::Simulator sim;
-  Cluster cluster(sim, small_config(), 2);
+  sim::ShardEngine engine(1);
+  sim::Simulator& sim = engine.shard(0);
+  Cluster cluster(engine, small_config(), 2);
   auto& n0 = cluster.node(0);
   auto& n1 = cluster.node(1);
 
@@ -258,8 +263,9 @@ TEST(Cluster, GdsStreamPutAtKernelBoundary) {
 
 // Data integrity across many concurrent node pairs (conservation).
 TEST(Cluster, AllPairsExchangeIntegrity) {
-  sim::Simulator sim;
-  Cluster cluster(sim, small_config(), 4);
+  sim::ShardEngine engine(1);
+  sim::Simulator& sim = engine.shard(0);
+  Cluster cluster(engine, small_config(), 4);
   const std::uint64_t kBytes = 2048;
   std::vector<std::vector<mem::Addr>> dst(4, std::vector<mem::Addr>(4));
   for (int r = 0; r < 4; ++r) {

@@ -10,8 +10,8 @@
 #include <map>
 #include <string>
 
-#include "../support/json_lite.hpp"
 #include "cluster/cluster.hpp"
+#include "sim/json.hpp"
 #include "sim/stats.hpp"
 #include "sim/sync.hpp"
 #include "sim/trace.hpp"
@@ -22,10 +22,11 @@ namespace {
 
 /// One GPU-triggered put between two nodes, traced.
 sim::TraceRecorder traced_put(sim::StatRegistry* stats_out = nullptr) {
-  sim::Simulator sim;
+  sim::ShardEngine engine(1);
+  sim::Simulator& sim = engine.shard(0);
   cluster::SystemConfig cfg = cluster::SystemConfig::table2();
   cfg.dram_bytes = 4u << 20;
-  cluster::Cluster cluster(sim, cfg, 2);
+  cluster::Cluster cluster(engine, cfg, 2);
   sim::TraceRecorder trace;
   cluster.enable_tracing(trace);
 
@@ -61,7 +62,7 @@ sim::TraceRecorder traced_put(sim::StatRegistry* stats_out = nullptr) {
 
 TEST(Observability, FlowLinksGpuLaneToRemoteNicLane) {
   sim::TraceRecorder trace = traced_put();
-  auto parsed = test::json::parse(trace.to_json());
+  auto parsed = sim::json::try_parse(trace.to_json());
   ASSERT_TRUE(parsed.has_value());
   ASSERT_TRUE(parsed->is_array());
 
@@ -165,7 +166,7 @@ TEST(Observability, StatsJsonDeterministicAcrossRuns) {
 
 TEST(Observability, WorkloadExportsLatencyHistogramsAsJson) {
   workloads::JacobiResult res = small_jacobi(nullptr);
-  auto parsed = test::json::parse(sim::stats_json(res.net_stats));
+  auto parsed = sim::json::try_parse(sim::stats_json(res.net_stats));
   ASSERT_TRUE(parsed.has_value());
   ASSERT_TRUE(parsed->has("histograms"));
   const auto& histos = parsed->at("histograms");

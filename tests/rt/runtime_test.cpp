@@ -10,13 +10,14 @@ namespace gputn::rt {
 namespace {
 
 struct Rig {
-  Rig() : cluster(sim, small(), 2) {}
+  Rig() : cluster(engine, small(), 2) {}
   static cluster::SystemConfig small() {
     auto c = cluster::SystemConfig::table2();
     c.dram_bytes = 4u << 20;
     return c;
   }
-  sim::Simulator sim;
+  sim::ShardEngine engine{1};
+  sim::Simulator& sim = engine.shard(0);
   cluster::Cluster cluster;
   cluster::Node& a() { return cluster.node(0); }
   cluster::Node& b() { return cluster.node(1); }

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "../support/json_lite.hpp"
+#include "sim/json.hpp"
 #include "sim/random.hpp"
 
 namespace gputn::sim {
@@ -206,7 +206,7 @@ TEST(StatRegistry, StatsJsonShape) {
   for (std::uint64_t v = 1; v <= 100; ++v) r.histogram("lat.wire").add(v);
 
   std::string text = stats_json(r);
-  auto parsed = test::json::parse(text);
+  auto parsed = json::try_parse(text);
   ASSERT_TRUE(parsed.has_value());
   ASSERT_TRUE(parsed->is_object());
   EXPECT_DOUBLE_EQ(parsed->at("counters").at("net.pkts").number, 12.0);

@@ -4,8 +4,8 @@
 
 #include <sstream>
 
-#include "../support/json_lite.hpp"
 #include "cluster/cluster.hpp"
+#include "sim/json.hpp"
 #include "sim/sync.hpp"
 
 namespace gputn::sim {
@@ -82,10 +82,11 @@ TEST(Trace, LanesGetStableIds) {
 }
 
 TEST(Trace, ClusterIntegrationCapturesGpuNicTrigger) {
-  Simulator sim;
+  ShardEngine engine(1);
+  Simulator& sim = engine.shard(0);
   cluster::SystemConfig cfg = cluster::SystemConfig::table2();
   cfg.dram_bytes = 4u << 20;
-  cluster::Cluster cluster(sim, cfg, 2);
+  cluster::Cluster cluster(engine, cfg, 2);
   TraceRecorder trace;
   cluster.enable_tracing(trace);
 
@@ -142,7 +143,7 @@ TEST(Trace, FlowEventsShareIdAndParse) {
   // The terminating flow event binds to the enclosing slice.
   EXPECT_NE(json.find("\"bp\":\"e\""), std::string::npos);
 
-  auto parsed = test::json::parse(json);
+  auto parsed = json::try_parse(json);
   ASSERT_TRUE(parsed.has_value());
   ASSERT_TRUE(parsed->is_array());
   int flow_events = 0;
@@ -159,7 +160,7 @@ TEST(Trace, FlowEventsShareIdAndParse) {
 TEST(Trace, ArgsPassThroughAsJsonObject) {
   TraceRecorder t;
   t.span("lane", "msg", "net", 0, ns(10), "{\"flow\":7,\"bytes\":64}");
-  auto parsed = test::json::parse(t.to_json());
+  auto parsed = json::try_parse(t.to_json());
   ASSERT_TRUE(parsed.has_value());
   bool found = false;
   for (const auto& e : *parsed->array) {
@@ -180,7 +181,7 @@ TEST(Trace, LongNamesAreNotTruncated) {
   t.span("lane", name, "cat", 0, ns(5));
   std::string json = t.to_json();
   EXPECT_NE(json.find(name), std::string::npos);
-  auto parsed = test::json::parse(json);
+  auto parsed = json::try_parse(json);
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->array->back().at("name").string, name);
 }
@@ -197,7 +198,7 @@ TEST(Trace, StreamingWriterMatchesToJson) {
 
 TEST(Trace, EmptyRecorderIsValidJson) {
   TraceRecorder t;
-  auto parsed = test::json::parse(t.to_json());
+  auto parsed = json::try_parse(t.to_json());
   ASSERT_TRUE(parsed.has_value());
   EXPECT_TRUE(parsed->is_array());
   EXPECT_TRUE(parsed->array->empty());

@@ -3,11 +3,15 @@
 // by both run_workload's rejection path and `gputn config`'s rendered
 // matrix. This test drives every pair through flag_conflict and pins the
 // rendered matrix so a new rule cannot land in one place only.
+#include <stdexcept>
 #include <string>
 
 #include <gtest/gtest.h>
 
+#include "obs/timeseries.hpp"
+#include "sim/trace.hpp"
 #include "workloads/options.hpp"
+#include "workloads/registry.hpp"
 
 namespace gputn::workloads {
 namespace {
@@ -100,6 +104,35 @@ TEST(FlagMatrix, RenderedMatrixAgreesWithTheRules) {
     ++no_cells;
   }
   EXPECT_GE(no_cells, 10);
+}
+
+TEST(FlagMatrix, EveryWorkloadRejectsShardedUnsynchronizedObservers) {
+  // make_config reads the same table: every registered workload refuses
+  // --shards > 1 with --trace or --timeseries before building a cluster,
+  // and the message names both flags.
+  Registry reg;
+  register_builtin_workloads(reg);
+  sim::TraceRecorder trace;
+  obs::TimeSeries ts(sim::us(1));
+  for (const WorkloadEntry& e : reg.entries()) {
+    RunOptions traced;
+    traced.shards = 2;
+    traced.trace = &trace;
+    RunOptions sampled;
+    sampled.shards = 2;
+    sampled.timeseries = &ts;
+    for (const auto& [opts, flag] :
+         {std::pair{traced, "--trace"}, std::pair{sampled, "--timeseries"}}) {
+      try {
+        e.run(opts, WorkloadParams{}, cluster::SystemConfig::table2());
+        ADD_FAILURE() << e.name << " accepted --shards 2 with " << flag;
+      } catch (const std::invalid_argument& ex) {
+        std::string msg = ex.what();
+        EXPECT_NE(msg.find("--shards"), std::string::npos) << e.name << msg;
+        EXPECT_NE(msg.find(flag), std::string::npos) << e.name << msg;
+      }
+    }
+  }
 }
 
 }  // namespace
