@@ -14,10 +14,10 @@
 // shift instead of skewing the result (same protocol as micro_events).
 //
 // Also profiles per-run construction cost: building a 4-node Table 2
-// Cluster cold (first-touch page faults on every DRAM backing) vs warm
-// (backings recycled through mem::DramArena) — the setup the engine pays
-// at every run point, and why short microbench points aren't dominated by
-// it.
+// Cluster cold (the first cluster of the process) vs warm (the mean of the
+// next ten) — the setup the engine pays at every run point. DRAM backings
+// are demand-zero mappings, so neither pays for the 64 MiB per node that a
+// short point never touches.
 //
 // Emits BENCH_sweep.json. Usage: micro_sweep [out.json] [--jobs N]
 #include <algorithm>
@@ -31,7 +31,6 @@
 #include "cluster/cluster.hpp"
 #include "exp/runner.hpp"
 #include "exp/sweeps.hpp"
-#include "mem/arena.hpp"
 #include "sim/simulator.hpp"
 
 using namespace gputn;
@@ -84,16 +83,14 @@ int main(int argc, char** argv) {
               "%d interleaved reps\n",
               plan.size(), jobs, hw, reps);
 
-  // Per-run construction cost: cold = fresh OS pages (arena emptied), warm
-  // = recycled backings. One throwaway run first so code/data are hot.
-  setup_us_once();
-  mem::DramArena::clear();
+  // Per-run construction cost: cold = the first cluster this process
+  // builds, warm = the mean of the next setup_reps.
   double setup_cold_us = setup_us_once();
   double setup_warm_us = 0.0;
   const int setup_reps = 10;
   for (int i = 0; i < setup_reps; ++i) setup_warm_us += setup_us_once();
   setup_warm_us /= setup_reps;
-  std::printf("  cluster setup: %.0f us cold, %.0f us warm (arena reuse)\n",
+  std::printf("  cluster setup: %.0f us cold, %.0f us warm\n",
               setup_cold_us, setup_warm_us);
 
   std::vector<std::string> jsons;

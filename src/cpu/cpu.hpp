@@ -64,8 +64,10 @@ class Cpu {
   sim::Simulator& simulator() { return *sim_; }
   mem::Memory& memory() { return *mem_; }
 
-  /// Busy the host for `t` (single thread).
-  sim::Task<> compute(sim::Tick t) { return occupy(1, t); }
+  /// Busy the host for `t` (single thread): holds one core in the ledger
+  /// from when it is awaited until the delay elapses. A frame-free awaiter;
+  /// co_await it where it is called.
+  auto compute(sim::Tick t);
 
   /// Single-threaded flop-bound phase.
   sim::Task<> compute_flops_serial(double flops);
@@ -112,11 +114,7 @@ class Cpu {
   /// Hold `units` cores in the ledger while the delay elapses. The model
   /// itself has no core contention (phases just take time); the ledger is
   /// what distinguishes a single polling thread from an all-cores phase.
-  sim::Task<> occupy(int units, sim::Tick t) {
-    for (int i = 0; i < units; ++i) util_.acquire(sim_->now());
-    co_await sim_->delay(t);
-    for (int i = 0; i < units; ++i) util_.release(sim_->now());
-  }
+  auto occupy(int units, sim::Tick t);
 
   sim::Simulator* sim_;
   mem::Memory* mem_;
@@ -126,5 +124,18 @@ class Cpu {
   sim::TraceRecorder* trace_ = nullptr;
   std::string trace_lane_;
 };
+
+inline auto Cpu::occupy(int units, sim::Tick t) {
+  return sim_->timed(
+      t,
+      [this, units] {
+        for (int i = 0; i < units; ++i) util_.acquire(sim_->now());
+      },
+      [this, units] {
+        for (int i = 0; i < units; ++i) util_.release(sim_->now());
+      });
+}
+
+inline auto Cpu::compute(sim::Tick t) { return occupy(1, t); }
 
 }  // namespace gputn::cpu

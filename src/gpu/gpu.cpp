@@ -9,10 +9,6 @@ namespace gputn::gpu {
 
 mem::Memory& WorkGroupCtx::mem() { return gpu_->memory(); }
 
-sim::Task<> WorkGroupCtx::compute(sim::Tick t) {
-  co_await gpu_->simulator().delay(t);
-}
-
 sim::Task<> WorkGroupCtx::compute_flops(double flops) {
   const auto& cfg = gpu_->config();
   double flops_per_ns = cfg.flops_per_cu_per_cycle * cfg.clock_ghz;
@@ -28,38 +24,10 @@ sim::Task<> WorkGroupCtx::compute_mem(std::uint64_t bytes) {
       sim::Bandwidth::bytes_per_sec(share).serialize(bytes));
 }
 
-sim::Task<> WorkGroupCtx::barrier() {
-  co_await compute(gpu_->config().barrier_latency);
-}
-
 sim::Task<> WorkGroupCtx::diverged(int paths, sim::Tick per_path) {
   if (paths < 1) paths = 1;
   ++gpu_->stats().counter("divergent_regions");
   co_await compute(static_cast<sim::Tick>(paths) * per_path);
-}
-
-sim::Task<> WorkGroupCtx::fence_system() {
-  co_await compute(gpu_->config().fence_system_latency);
-  dirty_ = false;
-}
-
-sim::Task<> WorkGroupCtx::store_system(mem::Addr addr, std::uint64_t value) {
-  if (mem().is_mmio(addr) && dirty_) {
-    // §4.2.6: triggering the NIC while buffer writes are still only
-    // work-group-visible races the DMA read against the GPU caches.
-    gpu_->note_hazard();
-  }
-  co_await compute(gpu_->config().store_system_latency);
-  if (mem().is_mmio(addr)) {
-    mem().mmio_store(addr, value);
-  } else {
-    mem().store<std::uint64_t>(addr, value);
-  }
-}
-
-sim::Task<std::uint64_t> WorkGroupCtx::load_system(mem::Addr addr) {
-  co_await compute(gpu_->config().load_system_latency);
-  co_return mem().load<std::uint64_t>(addr);
 }
 
 sim::Task<> WorkGroupCtx::wait_value_ge(mem::Addr addr, std::uint64_t value) {

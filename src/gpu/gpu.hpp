@@ -82,28 +82,33 @@ class WorkGroupCtx {
   mem::Memory& mem();
 
   // -- Timed device operations --------------------------------------------
+  // compute, barrier, fence_system, store_system and load_system are
+  // frame-free awaiters (Simulator::delay / Simulator::timed, defined after
+  // Gpu below): co_await them where they are called.
+
   /// Occupy this work-group's compute unit for `t`.
-  sim::Task<> compute(sim::Tick t);
+  auto compute(sim::Tick t);
   /// Flop-bound phase executed by this work-group.
   sim::Task<> compute_flops(double flops);
   /// Memory-bandwidth-bound phase touching `bytes` (per work-group share).
   sim::Task<> compute_mem(std::uint64_t bytes);
   /// Work-group barrier (§4.2: leader triggers after the barrier).
-  sim::Task<> barrier();
+  auto barrier();
   /// Divergent control flow: a wavefront taking `paths` distinct branch
   /// directions executes them serially under an execution mask (§2.1.1) —
   /// total time is paths * per_path. This is the §5.1.1 cost that makes
   /// serial packet construction (GNN) expensive on a GPU.
   sim::Task<> diverged(int paths, sim::Tick per_path);
   /// Release fence to system scope: makes prior buffer writes visible to
-  /// the NIC (§4.2.6). Clears the unfenced-writes hazard state.
-  sim::Task<> fence_system();
-  /// System-scope atomic store; routes to MMIO (trigger address) or DRAM.
-  /// Firing a trigger with unfenced buffer writes is counted as a memory-
-  /// model hazard.
-  sim::Task<> store_system(mem::Addr addr, std::uint64_t value);
-  /// System-scope acquire load.
-  sim::Task<std::uint64_t> load_system(mem::Addr addr);
+  /// the NIC (§4.2.6). Clears the unfenced-writes hazard state once its
+  /// latency has elapsed.
+  auto fence_system();
+  /// System-scope atomic store; routes to MMIO (trigger address) or DRAM
+  /// once its latency has elapsed. Firing a trigger with unfenced buffer
+  /// writes is counted as a memory-model hazard when the store is issued.
+  auto store_system(mem::Addr addr, std::uint64_t value);
+  /// System-scope acquire load; reads memory once its latency has elapsed.
+  auto load_system(mem::Addr addr);
   /// Spin (with the configured poll interval) until *addr >= value.
   sim::Task<> wait_value_ge(mem::Addr addr, std::uint64_t value);
 
@@ -235,5 +240,44 @@ class Gpu {
   std::string trace_lane_;
   sim::Logger log_;
 };
+
+inline auto WorkGroupCtx::compute(sim::Tick t) {
+  return gpu_->simulator().delay(t);
+}
+
+inline auto WorkGroupCtx::barrier() {
+  return compute(gpu_->config().barrier_latency);
+}
+
+inline auto WorkGroupCtx::fence_system() {
+  return gpu_->simulator().timed(
+      gpu_->config().fence_system_latency, [] {},
+      [this] { dirty_ = false; });
+}
+
+inline auto WorkGroupCtx::store_system(mem::Addr addr, std::uint64_t value) {
+  return gpu_->simulator().timed(
+      gpu_->config().store_system_latency,
+      [this, addr] {
+        if (mem().is_mmio(addr) && dirty_) {
+          // §4.2.6: triggering the NIC while buffer writes are still only
+          // work-group-visible races the DMA read against the GPU caches.
+          gpu_->note_hazard();
+        }
+      },
+      [this, addr, value] {
+        if (mem().is_mmio(addr)) {
+          mem().mmio_store(addr, value);
+        } else {
+          mem().store<std::uint64_t>(addr, value);
+        }
+      });
+}
+
+inline auto WorkGroupCtx::load_system(mem::Addr addr) {
+  return gpu_->simulator().timed(
+      gpu_->config().load_system_latency, [] {},
+      [this, addr] { return mem().load<std::uint64_t>(addr); });
+}
 
 }  // namespace gputn::gpu

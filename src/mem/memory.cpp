@@ -1,22 +1,26 @@
 #include "mem/memory.hpp"
 
-#include <new>
+#include <sys/mman.h>
 
-#include "mem/arena.hpp"
+#include <new>
 
 namespace gputn::mem {
 
-Memory::Memory(std::uint64_t dram_bytes)
-    : dram_(DramArena::acquire(dram_bytes)) {}
+Memory::Memory(std::uint64_t dram_bytes) : dram_bytes_(dram_bytes) {
+  void* p = ::mmap(nullptr, dram_bytes_, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  if (p == MAP_FAILED) throw std::bad_alloc();
+  dram_ = static_cast<std::byte*>(p);
+}
 
-Memory::~Memory() { DramArena::release(std::move(dram_)); }
+Memory::~Memory() { ::munmap(dram_, dram_bytes_); }
 
 Addr Memory::alloc(std::uint64_t bytes, std::uint64_t align) {
   if (align == 0 || (align & (align - 1)) != 0) {
     throw std::invalid_argument("alignment must be a power of two");
   }
   Addr base = (next_ + align - 1) & ~(align - 1);
-  if (base + bytes > dram_.size()) throw std::bad_alloc();
+  if (base + bytes > dram_bytes_) throw std::bad_alloc();
   next_ = base + bytes;
   return base;
 }
@@ -25,29 +29,29 @@ void Memory::check_range(Addr addr, std::size_t n) const {
   if (is_mmio(addr)) {
     throw std::out_of_range("functional access to MMIO window");
   }
-  if (addr + n > dram_.size() || addr + n < addr) {
+  if (addr + n > dram_bytes_ || addr + n < addr) {
     throw std::out_of_range("memory access out of bounds");
   }
 }
 
 void Memory::write(Addr addr, const void* src, std::size_t n) {
   check_range(addr, n);
-  std::memcpy(dram_.data() + addr, src, n);
+  std::memcpy(dram_ + addr, src, n);
 }
 
 void Memory::read(Addr addr, void* dst, std::size_t n) const {
   check_range(addr, n);
-  std::memcpy(dst, dram_.data() + addr, n);
+  std::memcpy(dst, dram_ + addr, n);
 }
 
 std::span<std::byte> Memory::bytes(Addr addr, std::size_t n) {
   check_range(addr, n);
-  return {dram_.data() + addr, n};
+  return {dram_ + addr, n};
 }
 
 std::span<const std::byte> Memory::bytes(Addr addr, std::size_t n) const {
   check_range(addr, n);
-  return {dram_.data() + addr, n};
+  return {dram_ + addr, n};
 }
 
 Addr Memory::map_mmio(std::uint64_t bytes, MmioHandler* handler) {

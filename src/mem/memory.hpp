@@ -17,7 +17,6 @@
 #include <memory>
 #include <span>
 #include <stdexcept>
-#include <vector>
 
 #include "sim/units.hpp"
 
@@ -37,9 +36,10 @@ class MmioHandler {
 
 class Memory {
  public:
-  /// The backing store comes from (and retires into) the thread-local
-  /// DramArena, so sweeping many short-lived clusters re-faults no pages;
-  /// the bytes are zero-filled either way (see arena.hpp).
+  /// The backing store is one anonymous demand-zero mapping: the kernel
+  /// hands out a zeroed page on first touch, so a run pays only for the
+  /// pages it writes and never-written bytes read as zero. Throws
+  /// std::bad_alloc when the mapping cannot be made (or dram_bytes is 0).
   explicit Memory(std::uint64_t dram_bytes);
   ~Memory();
   Memory(const Memory&) = delete;
@@ -48,7 +48,7 @@ class Memory {
   /// Bump-allocate a DRAM region. Throws std::bad_alloc when exhausted.
   Addr alloc(std::uint64_t bytes, std::uint64_t align = 64);
 
-  std::uint64_t dram_bytes() const { return dram_.size(); }
+  std::uint64_t dram_bytes() const { return dram_bytes_; }
   std::uint64_t allocated_bytes() const { return next_; }
 
   // -- Functional (zero-time) access --------------------------------------
@@ -90,7 +90,8 @@ class Memory {
  private:
   void check_range(Addr addr, std::size_t n) const;
 
-  std::vector<std::byte> dram_;
+  std::byte* dram_ = nullptr;
+  std::uint64_t dram_bytes_;
   std::uint64_t next_ = 64;  // never hand out address 0
   Addr next_mmio_ = kMmioBase;
   // MMIO window base -> (limit, handler)

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/event_fn.hpp"
@@ -179,6 +180,31 @@ class Simulator {
       void await_resume() const noexcept {}
     };
     return Awaiter{this, d};
+  }
+
+  /// Awaitable for a frame-free timed leaf operation: `start()` runs when
+  /// it is awaited, the coroutine then sleeps `d` exactly as delay(d) would
+  /// (not at all when d <= 0), and `finish()` runs as it resumes, its
+  /// result being the value of the co_await. Schedules the same events as
+  /// a Task doing `start(); co_await delay(d); co_return finish();` without
+  /// allocating a coroutine frame.
+  template <typename Start, typename Finish>
+  auto timed(Tick d, Start start, Finish finish) {
+    struct Awaiter {
+      Simulator* sim;
+      Tick d;
+      Start start;
+      Finish finish;
+      bool await_ready() {
+        start();
+        return d <= 0;
+      }
+      void await_suspend(std::coroutine_handle<> h) {
+        sim->schedule_resume(d, h);
+      }
+      decltype(auto) await_resume() { return finish(); }
+    };
+    return Awaiter{this, d, std::move(start), std::move(finish)};
   }
 
   /// Start a detached process. The coroutine runs immediately until its

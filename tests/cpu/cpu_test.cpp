@@ -56,6 +56,27 @@ TEST(Cpu, ParallelEfficiencyScalesComputeTime) {
   EXPECT_EQ(2 * a.cpu.parallel_time(1e6, 0), b.cpu.parallel_time(1e6, 0));
 }
 
+TEST(Cpu, ComputeHoldsOneCoreForItsDuration) {
+  Rig r;
+  int in_use_mid = -1;
+  r.sim.spawn(
+      [](Rig& rig) -> sim::Task<> {
+        co_await rig.cpu.compute(sim::ns(250));
+        co_await rig.cpu.compute(0);
+      }(r),
+      "compute");
+  r.sim.schedule_at(sim::ns(100),
+                    [&] { in_use_mid = r.cpu.util().in_use(); });
+  r.sim.run();
+  EXPECT_EQ(r.sim.now(), sim::ns(250));
+  EXPECT_EQ(in_use_mid, 1);
+  EXPECT_EQ(r.cpu.util().busy_ps(r.sim.now()),
+            static_cast<std::uint64_t>(sim::ns(250)))
+      << "compute(0) adds no busy time";
+  EXPECT_EQ(r.cpu.util().ops(), 2u);
+  EXPECT_EQ(r.cpu.util().in_use(), 0);
+}
+
 TEST(Cpu, WaitValuePollsUntilSet) {
   Rig r;
   mem::Addr flag = r.memory.alloc(8);

@@ -141,6 +141,59 @@ TEST(Gpu, MemoryModelHazardDetected) {
   EXPECT_EQ(r.gpu.memory_model_hazards(), 1u) << "fenced store is not a hazard";
 }
 
+TEST(Gpu, LoadSystemReadsAfterItsLatency) {
+  Rig r;
+  mem::Addr flag = r.memory.alloc(8);
+  sim::Tick issued_at = -1;
+  sim::Tick seen_at = -1;
+  std::uint64_t seen = 0;
+  KernelDesc k;
+  k.num_wgs = 1;
+  k.fn = [&](WorkGroupCtx& ctx) -> sim::Task<> {
+    issued_at = r.sim.now();
+    // One store lands inside the 120 ns load window, one after it.
+    r.sim.schedule_at(issued_at + sim::ns(60),
+                      [&] { r.memory.store<std::uint64_t>(flag, 1); });
+    r.sim.schedule_at(issued_at + sim::ns(200),
+                      [&] { r.memory.store<std::uint64_t>(flag, 2); });
+    seen = co_await ctx.load_system(flag);
+    seen_at = r.sim.now();
+  };
+  r.gpu.enqueue_kernel(std::move(k));
+  r.sim.run();
+  EXPECT_EQ(seen_at - issued_at, sim::ns(120));
+  EXPECT_EQ(seen, 1u);
+  EXPECT_EQ(r.memory.load<std::uint64_t>(flag), 2u);
+}
+
+TEST(Gpu, ZeroLatencyFenceClearsHazard) {
+  GpuConfig cfg = fast_config();
+  cfg.fence_system_latency = 0;
+  Rig r(cfg);
+  struct NullHandler : mem::MmioHandler {
+    void on_mmio_store(mem::Addr, std::uint64_t) override {}
+  } handler;
+  mem::Addr trig = r.memory.map_mmio(8, &handler);
+  mem::Addr buf = r.memory.alloc(64);
+  bool dirty_after_fence = true;
+  sim::Tick fence_time = -1;
+  KernelDesc k;
+  k.num_wgs = 1;
+  k.fn = [&](WorkGroupCtx& ctx) -> sim::Task<> {
+    ctx.store_data<std::uint64_t>(buf, 1);
+    sim::Tick before = r.sim.now();
+    co_await ctx.fence_system();
+    fence_time = r.sim.now() - before;
+    dirty_after_fence = ctx.has_unfenced_writes();
+    co_await ctx.store_system(trig, 7);
+  };
+  r.gpu.enqueue_kernel(std::move(k));
+  r.sim.run();
+  EXPECT_EQ(fence_time, 0);
+  EXPECT_FALSE(dirty_after_fence);
+  EXPECT_EQ(r.gpu.memory_model_hazards(), 0u);
+}
+
 TEST(Gpu, WorkGroupIdsCoverGrid) {
   Rig r;
   std::vector<int> seen;

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <new>
 #include <stdexcept>
+#include <thread>
 
 namespace gputn::mem {
 namespace {
@@ -61,6 +63,49 @@ TEST(Memory, BufferHelper) {
   EXPECT_EQ(buf.bytes(), 64u);
   buf[3] = 77;
   EXPECT_EQ(m.load<std::uint32_t>(buf.addr() + 3 * 4), 77u);
+}
+
+TEST(Memory, DramBytesEqualsRequestedSize) {
+  Memory a(4096);
+  Memory b((64ull << 20) + 8);
+  EXPECT_EQ(a.dram_bytes(), 4096u);
+  EXPECT_EQ(b.dram_bytes(), (64ull << 20) + 8);
+}
+
+TEST(Memory, FreshBackingReadsZeroEverywhere) {
+  constexpr std::uint64_t kBytes = 64ull << 20;
+  Memory m(kBytes);
+  EXPECT_EQ(m.load<std::uint64_t>(kBytes - 8), 0u) << "last 8 bytes";
+  EXPECT_EQ(m.load<std::uint64_t>(kBytes / 2), 0u) << "never allocated";
+  EXPECT_THROW(m.load<std::uint64_t>(kBytes - 4), std::out_of_range);
+}
+
+/// Writes a pattern over a 64 MiB Memory, destroys it, and checks a Memory
+/// rebuilt at the same size reads zero where the pattern was.
+void expect_rebuilt_memory_reads_zero() {
+  constexpr std::uint64_t kBytes = 64ull << 20;
+  const Addr probes[] = {64, 4096, kBytes / 2, kBytes - 8};
+  {
+    Memory m(kBytes);
+    for (Addr a : probes) m.store<std::uint64_t>(a, ~std::uint64_t{0});
+    auto bulk = m.bytes(8192, 1 << 20);
+    std::memset(bulk.data(), 0xab, bulk.size());
+  }
+  Memory m(kBytes);
+  for (Addr a : probes) EXPECT_EQ(m.load<std::uint64_t>(a), 0u) << a;
+  auto bulk = m.bytes(8192, 1 << 20);
+  EXPECT_TRUE(std::all_of(bulk.begin(), bulk.end(),
+                          [](std::byte b) { return b == std::byte{0}; }));
+}
+
+TEST(Memory, RebuiltBackingReadsZeroOnMainThread) {
+  expect_rebuilt_memory_reads_zero();
+}
+
+TEST(Memory, RebuiltBackingReadsZeroOnWorkerThread) {
+  // The way an exp::Runner worker builds and tears down run points.
+  std::thread worker(expect_rebuilt_memory_reads_zero);
+  worker.join();
 }
 
 class RecordingHandler : public MmioHandler {
