@@ -27,6 +27,7 @@
 #include "net/routing_api.hpp"
 #include "net/switch.hpp"
 #include "net/topology_api.hpp"
+#include "net/wire.hpp"
 #include "sim/stats.hpp"
 #include "sim/trace.hpp"
 
@@ -52,6 +53,13 @@ struct FabricConfig {
   /// Switch output-port credits (0 = unlimited, the seed's idealized
   /// lossless behavior). See net/switch.hpp for the credit model.
   int credits_per_port = 0;
+
+  /// The parameters of the ideal wire model (net/wire.hpp).
+  WireParams wire() const {
+    return WireParams{bandwidth.bytes_per_second(), link_latency,
+                      switch_latency, mtu_bytes, header_bytes,
+                      per_packet_overhead};
+  }
 };
 
 /// State shared by all packets of one in-flight message.
@@ -120,9 +128,8 @@ class Fabric {
   void send(Message&& msg);
 
   /// Wire latency of a `bytes`-byte message crossing one switch with an
-  /// idle network — the star reference figure (useful to sanity-check
-  /// calibration in tests, and replicated by obs::ideal_wire_ps for the
-  /// analyzer's blame split).
+  /// idle network — the star reference figure of net::ideal_wire (useful
+  /// to sanity-check calibration in tests).
   sim::Tick ideal_latency(std::uint64_t payload_bytes) const;
 
   /// Hop-count-aware ideal latency src -> dst on this fabric's topology

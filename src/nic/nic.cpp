@@ -8,6 +8,33 @@
 
 namespace gputn::nic {
 
+namespace {
+
+/// The one message -> flight-leg mapping: every stamp a delivered message
+/// carries, captured before its payload is moved out for the deposit DMA
+/// (t_deposit stays -1 until the deposit completes).
+obs::FlightLeg flight_leg(const net::Message& m) {
+  return obs::FlightLeg{.flow = m.flow,
+                        .src = m.src,
+                        .dst = m.dst,
+                        .kind = m.kind,
+                        .bytes = m.payload_bytes(),
+                        .retransmits = m.retransmits,
+                        .hops = m.hops,
+                        .t_trigger = m.t_trigger,
+                        .t_post = m.t_post,
+                        .t_ring = m.t_ring,
+                        .t_cmd = m.t_cmd,
+                        .t_pop = m.t_pop,
+                        .t_admit = m.t_admit,
+                        .t_wire_first = m.t_wire_first,
+                        .t_wire = m.t_wire,
+                        .t_switch = m.t_switch,
+                        .t_rx = m.t_rx};
+}
+
+}  // namespace
+
 Nic::Nic(sim::Simulator& sim, mem::Memory& memory, net::Fabric& fabric,
          NicConfig config)
     : sim_(&sim),
@@ -110,7 +137,8 @@ void Nic::stamp_tx(net::Message& msg, const QueuedCmd& qc) {
   stamp_tx(msg, qc.enqueued, qc.trigger, qc.trigger_mmio);
 }
 
-void Nic::record_delivery(const RxStamps& s) {
+void Nic::record_delivery(obs::FlightLeg& leg, std::uint64_t op_tag,
+                          std::int32_t tenant) {
   sim::Tick now = sim_->now();
   // Stage deltas in nanoseconds, pow2-bucketed. Recording is pure
   // bookkeeping (no simulator interaction), so it cannot perturb timing;
@@ -121,39 +149,22 @@ void Nic::record_delivery(const RxStamps& s) {
     stats_.histogram(name).add(static_cast<std::uint64_t>((to - from) /
                                                           1000));
   };
-  if (s.t_trigger >= 0) rec("lat.trigger_to_fire", s.t_trigger, s.t_cmd);
-  rec("lat.tx_queue", s.t_cmd, s.t_wire);
-  rec("lat.wire", s.t_wire, s.t_rx);
-  rec("lat.rx_to_deposit", s.t_rx, now);
-  rec("lat.end_to_end", s.t_trigger >= 0 ? s.t_trigger : s.t_cmd, now);
-  if (trace_ != nullptr && s.flow != 0) {
-    trace_->flow_end(trace_lane_, "msg", "flow", now, s.flow);
+  if (leg.t_trigger >= 0) rec("lat.trigger_to_fire", leg.t_trigger, leg.t_cmd);
+  rec("lat.tx_queue", leg.t_cmd, leg.t_wire);
+  rec("lat.wire", leg.t_wire, leg.t_rx);
+  rec("lat.rx_to_deposit", leg.t_rx, now);
+  rec("lat.end_to_end", leg.t_trigger >= 0 ? leg.t_trigger : leg.t_cmd, now);
+  if (trace_ != nullptr && leg.flow != 0) {
+    trace_->flow_end(trace_lane_, "msg", "flow", now, leg.flow);
   }
-  record_flight(s, now);
+  record_flight(leg, op_tag, tenant, now);
 }
 
-void Nic::record_flight(const RxStamps& s, sim::Tick t_deposit) {
+void Nic::record_flight(obs::FlightLeg& leg, std::uint64_t op_tag,
+                        std::int32_t tenant, sim::Tick t_deposit) {
   if (flight_ == nullptr) return;
-  obs::FlightLeg leg;
-  leg.flow = s.flow;
-  leg.src = s.src;
-  leg.dst = s.dst;
-  leg.kind = s.kind;
-  leg.bytes = s.bytes;
-  leg.retransmits = s.retransmits;
-  leg.hops = s.hops;
-  leg.t_trigger = s.t_trigger;
-  leg.t_post = s.t_post;
-  leg.t_ring = s.t_ring;
-  leg.t_cmd = s.t_cmd;
-  leg.t_pop = s.t_pop;
-  leg.t_admit = s.t_admit;
-  leg.t_wire_first = s.t_wire_first;
-  leg.t_wire = s.t_wire;
-  leg.t_switch = s.t_switch;
-  leg.t_rx = s.t_rx;
   leg.t_deposit = t_deposit;
-  flight_->record(leg, s.op_tag, s.tenant);
+  flight_->record(leg, op_tag, tenant);
 }
 
 void Nic::issue_rndv_pull(const PendingRts& rts, const RecvDesc& r) {
@@ -197,17 +208,18 @@ void Nic::post_recv(RecvDesc r) {
       ++stats_.counter("recvs_matched_unexpected");
       std::uint64_t bytes = msg.payload.size();
       std::uint64_t cookie = r.cq_cookie;
-      RxStamps stamps = RxStamps::from(msg);
+      obs::FlightLeg leg = flight_leg(msg);
       sim_->spawn(
           [](Nic* nic, mem::Addr dst, std::vector<std::byte> payload,
              mem::Addr flag, std::uint64_t flag_value, std::uint64_t cookie,
-             std::uint64_t bytes, RxStamps stamps) -> sim::Task<> {
+             std::uint64_t bytes, obs::FlightLeg leg, std::uint64_t op_tag,
+             std::int32_t tenant) -> sim::Task<> {
             co_await nic->land_payload(dst, std::move(payload), flag,
                                        flag_value);
             nic->push_cq(cookie, 3, bytes);
-            nic->record_delivery(stamps);
+            nic->record_delivery(leg, op_tag, tenant);
           }(this, r.local_addr, std::move(msg.payload), r.flag, r.flag_value,
-            cookie, bytes, stamps),
+            cookie, bytes, leg, msg.op_tag, msg.tenant),
           log_.component() + ".land");
       return;
     }
@@ -355,13 +367,13 @@ sim::Task<> Nic::land_payload(mem::Addr dst, std::vector<std::byte>&& payload,
 sim::Task<> Nic::handle_rx(net::Message msg) {
   // Captured before the payload is moved out; data-carrying kinds feed the
   // stage histograms (and end their trace flow) once the deposit is done.
-  RxStamps stamps = RxStamps::from(msg);
+  obs::FlightLeg leg = flight_leg(msg);
   switch (msg.kind) {
     case kPut: {
       ++stats_.counter("puts_received");
       std::uint64_t trigger_tag_plus1 = msg.h3;
       co_await land_payload(msg.h0, std::move(msg.payload), msg.h1, msg.h2);
-      record_delivery(stamps);
+      record_delivery(leg, msg.op_tag, msg.tenant);
       if (trigger_tag_plus1 != 0 && rx_trigger_hook_) {
         // Counting receive event: bump the local trigger counter so a
         // chained operation can fire with no processor involvement.
@@ -385,7 +397,7 @@ sim::Task<> Nic::handle_rx(net::Message msg) {
           co_await land_payload(r.local_addr, std::move(msg.payload), r.flag,
                                 r.flag_value);
           push_cq(r.cq_cookie, 3, bytes);
-          record_delivery(stamps);
+          record_delivery(leg, msg.op_tag, msg.tenant);
           matched = true;
           break;
         }
@@ -443,7 +455,7 @@ sim::Task<> Nic::handle_rx(net::Message msg) {
       std::uint64_t cookie = msg.h3;
       co_await land_payload(msg.h0, std::move(msg.payload), msg.h1, msg.h2);
       push_cq(cookie, 3, bytes);
-      record_delivery(stamps);
+      record_delivery(leg, msg.op_tag, msg.tenant);
       break;
     }
     case kGetReq: {
@@ -451,7 +463,7 @@ sim::Task<> Nic::handle_rx(net::Message msg) {
       // The request leg ends here (no payload deposits). Feeds only the
       // flight recorder — the always-on histograms never saw get requests
       // and must not start to (pinned goldens).
-      record_flight(stamps, sim_->now());
+      record_flight(leg, msg.op_tag, msg.tenant, sim_->now());
       net::Message reply;
       reply.src = node_id_;
       reply.dst = msg.src;
@@ -471,7 +483,7 @@ sim::Task<> Nic::handle_rx(net::Message msg) {
     case kGetReply: {
       ++stats_.counter("get_replies_received");
       co_await land_payload(msg.h0, std::move(msg.payload), msg.h1, msg.h2);
-      record_delivery(stamps);
+      record_delivery(leg, msg.op_tag, msg.tenant);
       break;
     }
     default:

@@ -33,6 +33,7 @@
 
 namespace gputn::obs {
 class FlightSink;
+struct FlightLeg;
 }  // namespace gputn::obs
 
 namespace gputn::nic {
@@ -279,40 +280,6 @@ class Nic : public net::MessageSink {
     sim::Tick popped = -1;    ///< TX engine popped it off the queue
     sim::Tick admitted = -1;  ///< token bucket admitted (== popped unpaced)
   };
-  /// Stamps captured off a delivered message before its payload is moved,
-  /// so latency recording can happen after the deposit DMA completes.
-  struct RxStamps {
-    std::uint64_t flow = 0;
-    std::uint64_t op_tag = 0;
-    std::int32_t tenant = -1;
-    net::NodeId src = -1;
-    net::NodeId dst = -1;
-    std::uint32_t kind = 0;
-    std::uint64_t bytes = 0;
-    std::uint32_t retransmits = 0;
-    std::uint32_t hops = 1;
-    sim::Tick t_trigger = -1;
-    sim::Tick t_post = -1;
-    sim::Tick t_ring = -1;
-    sim::Tick t_cmd = -1;
-    sim::Tick t_pop = -1;
-    sim::Tick t_admit = -1;
-    sim::Tick t_wire_first = -1;
-    sim::Tick t_wire = -1;
-    sim::Tick t_switch = -1;
-    sim::Tick t_rx = -1;
-    /// Capture every observability field (payload size included) before the
-    /// payload vector is moved out for the deposit DMA.
-    static RxStamps from(const net::Message& m) {
-      return RxStamps{m.flow,      m.op_tag,       m.tenant,   m.src,
-                      m.dst,       m.kind,         m.payload_bytes(),
-                      m.retransmits, m.hops,
-                      m.t_trigger, m.t_post,       m.t_ring,   m.t_cmd,
-                      m.t_pop,     m.t_admit,      m.t_wire_first,
-                      m.t_wire,    m.t_switch,     m.t_rx};
-    }
-  };
-
   sim::Task<> tx_loop();
   sim::Task<> rx_loop();
   sim::Task<> execute(QueuedCmd qc);
@@ -327,11 +294,15 @@ class Nic : public net::MessageSink {
   /// (post/ring/pop/admit on top of cmd/trigger).
   void stamp_tx(net::Message& msg, const QueuedCmd& qc);
   /// Record the always-on lat.* stage histograms (and the trace flow end)
-  /// for a message whose payload just deposited.
-  void record_delivery(const RxStamps& s);
-  /// Offer a delivered message's full stamp set to the attached flight
+  /// for a message whose payload just deposited; `leg` holds the stamps
+  /// captured off the message (flight_leg() in nic.cpp) before its payload
+  /// was moved out.
+  void record_delivery(obs::FlightLeg& leg, std::uint64_t op_tag,
+                       std::int32_t tenant);
+  /// Stamp `leg.t_deposit` and offer the leg to the attached flight
   /// recorder (no-op when none is attached).
-  void record_flight(const RxStamps& s, sim::Tick t_deposit);
+  void record_flight(obs::FlightLeg& leg, std::uint64_t op_tag,
+                     std::int32_t tenant, sim::Tick t_deposit);
   sim::Task<> land_payload(mem::Addr dst, std::vector<std::byte>&& payload,
                            mem::Addr flag, std::uint64_t flag_value);
   /// Receiver side of rendezvous: issue the pull for a matched RTS.

@@ -1,8 +1,10 @@
 #include "obs/critical.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -34,7 +36,7 @@ std::int64_t seg(std::int64_t from, std::int64_t to) {
   return (from >= 0 && to > from) ? to - from : 0;
 }
 
-void blame_leg(const FlightLeg& l, const WireParams& w,
+void blame_leg(const FlightLeg& l, const net::WireParams& w,
                std::map<std::string, std::int64_t>& out) {
   out["trigger_wait"] += seg(l.t_trigger, l.t_cmd);
   out["qp_batch"] += seg(l.t_post, l.t_ring);
@@ -46,7 +48,7 @@ void blame_leg(const FlightLeg& l, const WireParams& w,
   out["retransmit"] += seg(first, l.t_wire);
   std::int64_t wire_meas = seg(l.t_wire, l.t_rx);
   if (wire_meas > 0) {
-    std::int64_t ideal = ideal_wire_ps(w, l.bytes, l.hops);
+    std::int64_t ideal = net::ideal_wire(w, l.bytes, l.hops).total();
     std::int64_t wire = std::min(wire_meas, ideal);
     out["wire"] += wire;
     out["switch_queue"] += wire_meas - wire;
@@ -67,28 +69,36 @@ double num(const json::Value& obj, const std::string& key, double dflt = 0.0) {
   return v.number;
 }
 
-std::string str(const json::Value& obj, const std::string& key) {
-  if (!obj.has(key)) return {};
-  return obj.at(key).string;
+/// A whole-number field that must fit T: negative (for unsigned T) or
+/// out-of-range values would be undefined behaviour to cast, so they are
+/// rejected like a wrong-typed field.
+template <typename T>
+T whole(const json::Value& obj, const std::string& key, T dflt = 0) {
+  if (!obj.has(key)) return dflt;
+  double d = num(obj, key);
+  double lim = std::ldexp(1.0, std::numeric_limits<T>::digits);
+  double lo = std::numeric_limits<T>::is_signed ? -lim : 0.0;
+  if (!(d >= lo && d < lim)) bad("field '" + key + "' is out of range");
+  return static_cast<T>(d);
 }
 
 std::int64_t stamp(const json::Value& stamps, const char* key) {
   // Omitted stamp = the stage did not occur.
-  return static_cast<std::int64_t>(num(stamps, key, -1.0));
+  return whole<std::int64_t>(stamps, key, -1);
 }
 
 FlightLeg parse_leg(const json::Value& v) {
   if (!v.is_object()) bad("leg is not an object");
   FlightLeg l;
-  l.flow = static_cast<std::uint64_t>(num(v, "flow"));
-  l.src = static_cast<int>(num(v, "src", -1.0));
-  l.dst = static_cast<int>(num(v, "dst", -1.0));
-  l.kind = static_cast<std::uint32_t>(num(v, "kind"));
-  l.bytes = static_cast<std::uint64_t>(num(v, "bytes"));
-  l.retransmits = static_cast<std::uint32_t>(num(v, "retransmits"));
-  // Dumps from single-switch builds omit the field; one hop is exact there.
-  l.hops = static_cast<std::uint32_t>(num(v, "hops", 1.0));
-  if (l.hops == 0) l.hops = 1;
+  l.flow = whole<std::uint64_t>(v, "flow");
+  l.src = whole<int>(v, "src", -1);
+  l.dst = whole<int>(v, "dst", -1);
+  l.kind = whole<std::uint32_t>(v, "kind");
+  l.bytes = whole<std::uint64_t>(v, "bytes");
+  l.retransmits = whole<std::uint32_t>(v, "retransmits");
+  // Dumps from single-switch builds omit the field; one hop is exact there
+  // (net::ideal_wire also reads an explicit 0 as one hop).
+  l.hops = whole<std::uint32_t>(v, "hops", 1);
   if (!v.has("stamps") || !v.at("stamps").is_object()) {
     bad("leg has no stamps object");
   }
@@ -115,9 +125,9 @@ OpRecord parse_op(const json::Value& v) {
   if (v.has("op_tag") && v.at("op_tag").kind == json::Value::Kind::kString) {
     op.op_tag = std::strtoull(v.at("op_tag").string.c_str(), nullptr, 10);
   } else {
-    op.op_tag = static_cast<std::uint64_t>(num(v, "op_tag"));
+    op.op_tag = whole<std::uint64_t>(v, "op_tag");
   }
-  op.tenant = static_cast<std::int32_t>(num(v, "tenant", -1.0));
+  op.tenant = whole<std::int32_t>(v, "tenant", -1);
   op.req = parse_leg(v.at("req"));
   if (v.has("resp")) op.resp = parse_leg(v.at("resp"));
   return op;
@@ -129,22 +139,20 @@ AnalyzedRun parse_run(const json::Value& v, std::string id) {
   }
   AnalyzedRun run;
   run.id = std::move(id);
-  run.workload = str(v, "workload");
-  run.mode = str(v, "mode");
+  run.workload = json::str_or(v, "workload");
+  run.mode = json::str_or(v, "mode");
   if (v.has("wire") && v.at("wire").is_object()) {
     const json::Value& w = v.at("wire");
     run.wire.bytes_per_sec = num(w, "bytes_per_sec");
-    run.wire.link_latency_ps =
-        static_cast<std::int64_t>(num(w, "link_latency_ps"));
-    run.wire.switch_latency_ps =
-        static_cast<std::int64_t>(num(w, "switch_latency_ps"));
-    run.wire.mtu_bytes = static_cast<std::uint32_t>(num(w, "mtu_bytes"));
-    run.wire.header_bytes = static_cast<std::uint32_t>(num(w, "header_bytes"));
+    run.wire.link_latency_ps = whole<std::int64_t>(w, "link_latency_ps");
+    run.wire.switch_latency_ps = whole<std::int64_t>(w, "switch_latency_ps");
+    run.wire.mtu_bytes = whole<std::uint32_t>(w, "mtu_bytes");
+    run.wire.header_bytes = whole<std::uint32_t>(w, "header_bytes");
     run.wire.per_packet_overhead =
-        static_cast<std::uint32_t>(num(w, "per_packet_overhead"));
+        whole<std::uint32_t>(w, "per_packet_overhead");
   }
-  run.offered = static_cast<std::uint64_t>(num(v, "offered"));
-  run.recorded = static_cast<std::uint64_t>(num(v, "recorded"));
+  run.offered = whole<std::uint64_t>(v, "offered");
+  run.recorded = whole<std::uint64_t>(v, "recorded");
   for (const json::Value& o : *v.at("ops").array) {
     run.ops.push_back(parse_op(o));
   }
@@ -231,31 +239,8 @@ std::string fmt(const char* f, double v) {
 
 }  // namespace
 
-std::int64_t ideal_wire_ps(const WireParams& w, std::uint64_t payload_bytes,
-                           std::uint32_t hops) {
-  auto ser = [&](std::uint64_t bytes) -> std::int64_t {
-    if (bytes == 0 || w.bytes_per_sec <= 0.0) return 0;
-    // Replicates sim::Bandwidth::serialize (same double math, same
-    // rounding) so an uncongested leg's switch_queue comes out zero.
-    return static_cast<std::int64_t>(
-        static_cast<double>(bytes) / w.bytes_per_sec * 1e12 + 0.5);
-  };
-  std::int64_t h = hops > 0 ? static_cast<std::int64_t>(hops) : 1;
-  std::uint64_t wire = w.header_bytes + payload_bytes;
-  std::uint64_t mtu = w.mtu_bytes > 0 ? w.mtu_bytes : wire;
-  if (mtu == 0) mtu = 1;
-  std::uint64_t first_pkt = std::min(wire, mtu) + w.per_packet_overhead;
-  std::uint64_t packets = (wire + mtu - 1) / mtu;
-  std::uint64_t total_wire = wire + packets * w.per_packet_overhead;
-  // Total serialization pipelines across hops; each of the h crossbars and
-  // h + 1 links re-adds the lead packet's serialization and its fixed
-  // latency (mirrors Fabric::ideal_latency's hop-aware overload).
-  return ser(total_wire) + h * ser(first_pkt) +
-         (h + 1) * w.link_latency_ps + h * w.switch_latency_ps;
-}
-
 std::map<std::string, std::int64_t> blame_op(const OpRecord& op,
-                                             const WireParams& wire) {
+                                             const net::WireParams& wire) {
   std::map<std::string, std::int64_t> out;
   blame_leg(op.req, wire, out);
   if (op.has_resp()) {
@@ -290,7 +275,8 @@ Analysis analyze_flight(const std::string& json_text, std::string source) {
       if (!entry.is_object() || !entry.has("flight")) {
         bad("merged entry without a flight object");
       }
-      a.runs.push_back(parse_run(entry.at("flight"), str(entry, "id")));
+      a.runs.push_back(
+          parse_run(entry.at("flight"), json::str_or(entry, "id")));
     }
   } else if (doc.is_object()) {
     a.runs.push_back(parse_run(doc, ""));
@@ -472,7 +458,7 @@ bool dump_exemplar_trace(const AnalyzedRun& run, std::uint64_t selector,
     span("retransmit", first, l.t_wire, src_lane);
     if (l.t_wire >= 0 && l.t_rx > l.t_wire) {
       std::int64_t ideal =
-          std::min(ideal_wire_ps(run.wire, l.bytes, l.hops),
+          std::min(net::ideal_wire(run.wire, l.bytes, l.hops).total(),
                    l.t_rx - l.t_wire);
       tr.span("net", "wire", "blame", l.t_wire, l.t_wire + ideal,
               "{\"bytes\":" + std::to_string(l.bytes) + "}");

@@ -65,12 +65,6 @@ void flatten(const json::Value& v, const std::string& prefix,
   // Arrays (buckets, rows) and non-numeric scalars are not diffable.
 }
 
-double num_or(const json::Value& obj, const char* key, double dflt) {
-  if (!obj.has(key)) return dflt;
-  const json::Value& v = obj.at(key);
-  return v.is_number() ? v.number : dflt;
-}
-
 /// Build one PointReport from a stats object ({"counters": ..., ...}).
 PointReport point_from_stats(const json::Value& stats) {
   if (!stats.is_object() || !stats.has("counters")) {
@@ -133,19 +127,19 @@ PointReport point_from_stats(const json::Value& stats) {
         std::string res = name.substr(5, name.size() - 5 - 7);
         auto it = rows.find(res);
         if (it != rows.end()) {
-          it->second.q_p99 = num_or(h, "p99", 0.0);
+          it->second.q_p99 = json::num_or(h, "p99");
           it->second.has_queue = true;
         }
       } else if (starts_with(name, "lat.")) {
         LatencyRow lr;
         lr.stage = name.substr(4);
-        lr.count = static_cast<std::uint64_t>(num_or(h, "count", 0.0));
-        lr.mean_ns = num_or(h, "mean", 0.0);
-        lr.p50_ns = num_or(h, "p50", 0.0);
-        lr.p90_ns = num_or(h, "p90", 0.0);
-        lr.p99_ns = num_or(h, "p99", 0.0);
-        lr.p999_ns = num_or(h, "p999", 0.0);
-        lr.max_ns = num_or(h, "max", 0.0);
+        lr.count = static_cast<std::uint64_t>(json::num_or(h, "count"));
+        lr.mean_ns = json::num_or(h, "mean");
+        lr.p50_ns = json::num_or(h, "p50");
+        lr.p90_ns = json::num_or(h, "p90");
+        lr.p99_ns = json::num_or(h, "p99");
+        lr.p999_ns = json::num_or(h, "p999");
+        lr.max_ns = json::num_or(h, "max");
         pt.latency.push_back(std::move(lr));
       }
     }
@@ -220,7 +214,7 @@ Report parse_report(const std::string& json_text, std::string source) {
       PointReport pt = point_from_stats(entry.at("stats"));
       pt.id = entry.at("id").string;
       pt.total_time_ps =
-          static_cast<std::int64_t>(num_or(entry, "total_time_ps", -1.0));
+          static_cast<std::int64_t>(json::num_or(entry, "total_time_ps", -1.0));
       if (pt.total_time_ps >= 0) {
         pt.metrics["total_time_ps"] = static_cast<double>(pt.total_time_ps);
       }

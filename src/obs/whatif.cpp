@@ -241,45 +241,29 @@ namespace {
 /// slices (serialization / link propagation / switch crossbar).
 struct BlameTotals {
   std::map<std::string, std::int64_t> cats;
-  std::int64_t wire_ser = 0;
-  std::int64_t wire_link = 0;
-  std::int64_t wire_switch = 0;
+  net::WireParts wire;
 };
 
-/// Split one leg's blamed wire time. The three parts are computed with the
-/// identical arithmetic as critical.cpp's ideal_wire_ps, so on an
+/// Split one leg's blamed wire time into net::ideal_wire's parts, so on an
 /// uncongested fabric (blamed == ideal) they are exact; when congestion
 /// clamps the blamed wire below ideal, the parts are scaled proportionally
 /// and still sum to the blamed time.
-void leg_wire_parts(const FlightLeg& l, const WireParams& w, BlameTotals& bt) {
+void leg_wire_parts(const FlightLeg& l, const net::WireParams& w,
+                    BlameTotals& bt) {
   if (l.t_wire < 0 || l.t_rx <= l.t_wire) return;
   std::int64_t wire_meas = l.t_rx - l.t_wire;
-  auto ser = [&](std::uint64_t bytes) -> std::int64_t {
-    if (bytes == 0 || w.bytes_per_sec <= 0.0) return 0;
-    return static_cast<std::int64_t>(
-        static_cast<double>(bytes) / w.bytes_per_sec * 1e12 + 0.5);
-  };
-  std::int64_t h = l.hops > 0 ? static_cast<std::int64_t>(l.hops) : 1;
-  std::uint64_t wire = w.header_bytes + l.bytes;
-  std::uint64_t mtu = w.mtu_bytes > 0 ? w.mtu_bytes : wire;
-  if (mtu == 0) mtu = 1;
-  std::uint64_t first_pkt = std::min(wire, mtu) + w.per_packet_overhead;
-  std::uint64_t packets = (wire + mtu - 1) / mtu;
-  std::uint64_t total_wire = wire + packets * w.per_packet_overhead;
-  std::int64_t ser_part = ser(total_wire) + h * ser(first_pkt);
-  std::int64_t link_part = (h + 1) * w.link_latency_ps;
-  std::int64_t switch_part = h * w.switch_latency_ps;
-  std::int64_t ideal = ser_part + link_part + switch_part;
+  net::WireParts p = net::ideal_wire(w, l.bytes, l.hops);
+  std::int64_t ideal = p.total();
   std::int64_t blamed = std::min(wire_meas, ideal);
   if (ideal > 0 && blamed < ideal) {
     double f = static_cast<double>(blamed) / static_cast<double>(ideal);
-    ser_part = std::llround(static_cast<double>(ser_part) * f);
-    link_part = std::llround(static_cast<double>(link_part) * f);
-    switch_part = blamed - ser_part - link_part;
+    p.serialization = std::llround(static_cast<double>(p.serialization) * f);
+    p.link = std::llround(static_cast<double>(p.link) * f);
+    p.switching = blamed - p.serialization - p.link;
   }
-  bt.wire_ser += ser_part;
-  bt.wire_link += link_part;
-  bt.wire_switch += switch_part;
+  bt.wire.serialization += p.serialization;
+  bt.wire.link += p.link;
+  bt.wire.switching += p.switching;
 }
 
 BlameTotals blame_totals(const AnalyzedRun& run) {
@@ -301,9 +285,9 @@ std::int64_t knob_blame_ps(const Knob& k, const BlameTotals& bt,
     if (it != bt.cats.end()) ps += it->second;
   }
   switch (k.wire_part) {
-    case WirePart::kSerialization: ps += bt.wire_ser; break;
-    case WirePart::kLinkLatency: ps += bt.wire_link; break;
-    case WirePart::kSwitchLatency: ps += bt.wire_switch; break;
+    case WirePart::kSerialization: ps += bt.wire.serialization; break;
+    case WirePart::kLinkLatency: ps += bt.wire.link; break;
+    case WirePart::kSwitchLatency: ps += bt.wire.switching; break;
     case WirePart::kNone: break;
   }
   if (sample_factor > 1.0) {
@@ -875,34 +859,12 @@ namespace {
   throw std::runtime_error(source + ": " + what);
 }
 
-double jnum(const json::Value& obj, const std::string& key,
-            double dflt = 0.0) {
-  if (!obj.has(key)) return dflt;
-  const json::Value& v = obj.at(key);
-  return v.is_number() ? v.number : dflt;
-}
-
-std::string jstr(const json::Value& obj, const std::string& key) {
-  if (!obj.has(key)) return {};
-  const json::Value& v = obj.at(key);
-  return v.is_string() ? v.string : std::string();
-}
-
-bool jbool(const json::Value& obj, const std::string& key) {
-  return obj.has(key) && obj.at(key).kind == json::Value::Kind::kBool &&
-         obj.at(key).boolean;
-}
-
-std::int64_t jint(const json::Value& obj, const std::string& key) {
-  return static_cast<std::int64_t>(jnum(obj, key));
-}
-
 WhatifPoint parse_point(const json::Value& v) {
   WhatifPoint pt;
-  pt.scale = parse_scale(jstr(v, "scale"));
-  pt.ok = jbool(v, "ok");
-  pt.total_ps = jint(v, "total_ps");
-  pt.error = jstr(v, "error");
+  pt.scale = parse_scale(json::str_or(v, "scale"));
+  pt.ok = json::bool_or(v, "ok");
+  pt.total_ps = json::int_or(v, "total_ps");
+  pt.error = json::str_or(v, "error");
   return pt;
 }
 
@@ -920,41 +882,43 @@ WhatifReport parse_whatif(const std::string& json_text,
     bad(source, "not a whatif report (no \"whatif\" marker)");
   }
   WhatifReport rep;
-  rep.workload = jstr(doc, "workload");
-  rep.tolerance_pct = jnum(doc, "tolerance_pct", 2.0);
+  rep.workload = json::str_or(doc, "workload");
+  rep.tolerance_pct = json::num_or(doc, "tolerance_pct", 2.0);
   if (!doc.has("strategies") || !doc.at("strategies").is_array()) {
     bad(source, "missing strategies array");
   }
   for (const json::Value& sv : *doc.at("strategies").array) {
     if (!sv.is_object()) bad(source, "strategy entry is not an object");
     StrategyReport sr;
-    sr.strategy = jstr(sv, "strategy");
-    sr.baseline_ok = jbool(sv, "baseline_ok");
-    sr.baseline_error = jstr(sv, "baseline_error");
-    sr.baseline_ps = jint(sv, "baseline_ps");
-    sr.ops_offered = static_cast<std::uint64_t>(jnum(sv, "ops_offered"));
-    sr.ops_recorded = static_cast<std::uint64_t>(jnum(sv, "ops_recorded"));
+    sr.strategy = json::str_or(sv, "strategy");
+    sr.baseline_ok = json::bool_or(sv, "baseline_ok");
+    sr.baseline_error = json::str_or(sv, "baseline_error");
+    sr.baseline_ps = json::int_or(sv, "baseline_ps");
+    sr.ops_offered =
+        static_cast<std::uint64_t>(json::num_or(sv, "ops_offered"));
+    sr.ops_recorded =
+        static_cast<std::uint64_t>(json::num_or(sv, "ops_recorded"));
     if (sv.has("knobs") && sv.at("knobs").is_array()) {
       for (const json::Value& kv : *sv.at("knobs").array) {
         if (!kv.is_object()) bad(source, "knob entry is not an object");
         KnobResult kr;
-        kr.name = jstr(kv, "name");
-        kr.kind = jstr(kv, "kind");
-        kr.inert = jbool(kv, "inert");
+        kr.name = json::str_or(kv, "name");
+        kr.kind = json::str_or(kv, "kind");
+        kr.inert = json::bool_or(kv, "inert");
         if (kv.has("points") && kv.at("points").is_array()) {
           for (const json::Value& pv : *kv.at("points").array) {
             kr.points.push_back(parse_point(pv));
           }
         }
-        kr.improve2x_ps = jint(kv, "improve2x_ps");
-        kr.ideal_ps = jint(kv, "ideal_ps");
-        kr.best_improve_ps = jint(kv, "best_improve_ps");
-        kr.swing_pct = jnum(kv, "swing_pct");
-        kr.predicted_blame_ps = jint(kv, "predicted_blame_ps");
-        kr.predicted_busy_ps = jint(kv, "predicted_busy_ps");
-        kr.measured_ps = jint(kv, "measured_ps");
-        kr.predicted_ps = jint(kv, "predicted_ps");
-        kr.verdict = jstr(kv, "verdict");
+        kr.improve2x_ps = json::int_or(kv, "improve2x_ps");
+        kr.ideal_ps = json::int_or(kv, "ideal_ps");
+        kr.best_improve_ps = json::int_or(kv, "best_improve_ps");
+        kr.swing_pct = json::num_or(kv, "swing_pct");
+        kr.predicted_blame_ps = json::int_or(kv, "predicted_blame_ps");
+        kr.predicted_busy_ps = json::int_or(kv, "predicted_busy_ps");
+        kr.measured_ps = json::int_or(kv, "measured_ps");
+        kr.predicted_ps = json::int_or(kv, "predicted_ps");
+        kr.verdict = json::str_or(kv, "verdict");
         sr.knobs.push_back(std::move(kr));
       }
     }
@@ -963,8 +927,8 @@ WhatifReport parse_whatif(const std::string& json_text,
         if (rv.is_string()) sr.ranking.push_back(rv.string);
       }
     }
-    sr.divergences = static_cast<int>(jnum(sv, "divergences"));
-    sr.curve_knob = jstr(sv, "curve_knob");
+    sr.divergences = static_cast<int>(json::num_or(sv, "divergences"));
+    sr.curve_knob = json::str_or(sv, "curve_knob");
     if (sv.has("curve") && sv.at("curve").is_array()) {
       for (const json::Value& cv : *sv.at("curve").array) {
         sr.curve.push_back(parse_point(cv));

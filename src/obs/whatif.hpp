@@ -60,8 +60,8 @@ namespace gputn::obs {
 inline constexpr double kInfiniteSpeed =
     std::numeric_limits<double>::infinity();
 
-/// Which slice of the ideal wire model (critical.cpp's ideal_wire_ps) a
-/// knob scales; used to split per-leg wire blame between the wire knobs.
+/// Which part of the ideal wire model (net::ideal_wire) a knob scales;
+/// used to split per-leg wire blame between the wire knobs.
 enum class WirePart { kNone, kSerialization, kLinkLatency, kSwitchLatency };
 
 /// One named hardware knob.

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cctype>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -247,6 +248,41 @@ inline std::optional<Value> try_parse(const std::string& text) {
   } catch (const std::runtime_error&) {
     return std::nullopt;
   }
+}
+
+// ---- lenient field readers --------------------------------------------------
+//
+// For report-style consumers (`gputn report`, `gputn whatif --baseline`,
+// the analyzer's labels) where a missing or wrong-typed field is not an
+// error: each returns `dflt` instead. Readers that validate input (the
+// flight-dump parser) check types themselves and throw.
+
+inline double num_or(const Value& obj, const std::string& key,
+                     double dflt = 0.0) {
+  if (!obj.has(key)) return dflt;
+  const Value& v = obj.at(key);
+  return v.is_number() ? v.number : dflt;
+}
+
+/// A number truncated to int64; `dflt` also when it does not fit.
+inline std::int64_t int_or(const Value& obj, const std::string& key,
+                           std::int64_t dflt = 0) {
+  double d = num_or(obj, key, static_cast<double>(dflt));
+  return d >= -0x1p63 && d < 0x1p63 ? static_cast<std::int64_t>(d) : dflt;
+}
+
+inline std::string str_or(const Value& obj, const std::string& key,
+                          const std::string& dflt = {}) {
+  if (!obj.has(key)) return dflt;
+  const Value& v = obj.at(key);
+  return v.is_string() ? v.string : dflt;
+}
+
+inline bool bool_or(const Value& obj, const std::string& key,
+                    bool dflt = false) {
+  if (!obj.has(key)) return dflt;
+  const Value& v = obj.at(key);
+  return v.kind == Value::Kind::kBool ? v.boolean : dflt;
 }
 
 }  // namespace json

@@ -28,7 +28,6 @@ struct NodeState {
   mem::Addr step_flag = 0;         // chunk-level arrival flag, value = step+1
   std::vector<mem::Addr> slice_flag[2];  // GPU-TN per-slice arrival flags
   rt::RingAllreducePlan plan{0, 2, 2};
-  rt::CollSchedule schedule;
 };
 
 struct Workspace {
@@ -41,7 +40,6 @@ struct Workspace {
       auto& node = cluster.node(r);
       auto& st = states[r];
       st.plan = rt::RingAllreducePlan(r, cfg.nodes, cfg.elements);
-      st.schedule = rt::build_ring_allreduce_schedule(st.plan);
       st.vec = node.memory().alloc(cfg.elements * sizeof(float));
       std::size_t stage = st.plan.max_chunk_elems() * sizeof(float);
       st.rx[0] = node.memory().alloc(stage);
@@ -85,6 +83,29 @@ std::uint64_t reduce_traffic(std::uint64_t bytes) { return 3 * bytes; }
 /// The host additionally pays write-allocate on the destination.
 std::uint64_t cpu_reduce_traffic(std::uint64_t bytes) { return 4 * bytes; }
 
+/// The reduce-scatter combine as a GPU kernel (HDN and GDS): add the
+/// received `chunk`, landed at `land`, into rank r's vector.
+gpu::KernelDesc make_reduce_kernel(Workspace& w, int r, int chunk,
+                                   mem::Addr land) {
+  mem::Addr dst = w.chunk_addr(r, chunk);
+  std::size_t elems = w.states[r].plan.chunk_elems(chunk);
+  std::uint64_t bytes = w.chunk_bytes(r, chunk);
+  auto* mp = &w.cluster.node(r).memory();
+  gpu::KernelDesc k;
+  k.name = "reduce";
+  k.num_wgs = w.config.num_wgs;
+  k.fn = [mp, dst, land, elems, bytes](gpu::WorkGroupCtx& ctx)
+      -> sim::Task<> {
+    if (ctx.wg_id() == 0) {
+      combine(*mp, dst, land, elems);
+      ctx.mark_dirty();
+    }
+    co_await ctx.compute_mem(reduce_traffic(bytes) /
+                             static_cast<std::uint64_t>(ctx.num_wgs()));
+  };
+  return k;
+}
+
 // ---------------------------------------------------------------------------
 // CPU: the libNBC schedule driven entirely by the host.
 // ---------------------------------------------------------------------------
@@ -92,31 +113,30 @@ sim::Task<> cpu_rank(Workspace& w, int r, bool staging) {
   auto& node = w.cluster.node(r);
   auto& st = w.states[r];
   auto& m = node.memory();
-  for (std::size_t round = 0; round < st.schedule.rounds.size(); ++round) {
-    const auto& rd = st.schedule.rounds[round];
-    const rt::CollSend& snd = rd.sends[0];
-    const rt::CollRecv& rcv = rd.recvs[0];
-    const bool reduce = !rd.reduces.empty();
+  const auto& steps = st.plan.steps();
+  for (std::size_t round = 0; round < steps.size(); ++round) {
+    const rt::RingStep& step = steps[round];
     int p = static_cast<int>(round % 2);
-    mem::Addr land = reduce ? st.rx[p] : w.chunk_addr(r, rcv.chunk);
+    mem::Addr land =
+        step.reduce ? st.rx[p] : w.chunk_addr(r, step.recv_chunk);
 
     std::vector<sim::ProcessHandle> ops;
     ops.push_back(w.cluster.node_sim(r).spawn(
-        node.rt().send(snd.peer, round, w.chunk_addr(r, snd.chunk),
-                       w.chunk_bytes(r, snd.chunk), staging),
+        node.rt().send(step.to, round, w.chunk_addr(r, step.send_chunk),
+                       w.chunk_bytes(r, step.send_chunk), staging),
         "send"));
     ops.push_back(w.cluster.node_sim(r).spawn(
-        node.rt().recv(rcv.peer, round, land, w.chunk_bytes(r, rcv.chunk),
-                       staging),
+        node.rt().recv(step.from, round, land,
+                       w.chunk_bytes(r, step.recv_chunk), staging),
         "recv"));
     co_await sim::join_all(std::move(ops));
 
-    if (reduce) {
-      std::size_t elems = st.plan.chunk_elems(rcv.chunk);
-      combine(m, w.chunk_addr(r, rcv.chunk), land, elems);
+    if (step.reduce) {
+      std::size_t elems = st.plan.chunk_elems(step.recv_chunk);
+      combine(m, w.chunk_addr(r, step.recv_chunk), land, elems);
       co_await node.cpu().compute_parallel(
           static_cast<double>(elems),
-          cpu_reduce_traffic(w.chunk_bytes(r, rcv.chunk)));
+          cpu_reduce_traffic(w.chunk_bytes(r, step.recv_chunk)));
     }
   }
 }
@@ -127,42 +147,27 @@ sim::Task<> cpu_rank(Workspace& w, int r, bool staging) {
 sim::Task<> hdn_rank(Workspace& w, int r) {
   auto& node = w.cluster.node(r);
   auto& st = w.states[r];
-  for (std::size_t round = 0; round < st.schedule.rounds.size(); ++round) {
-    const auto& rd = st.schedule.rounds[round];
-    const rt::CollSend& snd = rd.sends[0];
-    const rt::CollRecv& rcv = rd.recvs[0];
-    const bool reduce = !rd.reduces.empty();
+  const auto& steps = st.plan.steps();
+  for (std::size_t round = 0; round < steps.size(); ++round) {
+    const rt::RingStep& step = steps[round];
     int p = static_cast<int>(round % 2);
-    mem::Addr land = reduce ? st.rx[p] : w.chunk_addr(r, rcv.chunk);
+    mem::Addr land =
+        step.reduce ? st.rx[p] : w.chunk_addr(r, step.recv_chunk);
 
     std::vector<sim::ProcessHandle> ops;
     ops.push_back(w.cluster.node_sim(r).spawn(
-        node.rt().send(snd.peer, round, w.chunk_addr(r, snd.chunk),
-                       w.chunk_bytes(r, snd.chunk)),
+        node.rt().send(step.to, round, w.chunk_addr(r, step.send_chunk),
+                       w.chunk_bytes(r, step.send_chunk)),
         "send"));
     ops.push_back(w.cluster.node_sim(r).spawn(
-        node.rt().recv(rcv.peer, round, land, w.chunk_bytes(r, rcv.chunk)),
+        node.rt().recv(step.from, round, land,
+                       w.chunk_bytes(r, step.recv_chunk)),
         "recv"));
     co_await sim::join_all(std::move(ops));
 
-    if (reduce) {
-      std::size_t elems = st.plan.chunk_elems(rcv.chunk);
-      mem::Addr dst = w.chunk_addr(r, rcv.chunk);
-      std::uint64_t bytes = w.chunk_bytes(r, rcv.chunk);
-      gpu::KernelDesc k;
-      k.name = "reduce";
-      k.num_wgs = w.config.num_wgs;
-      auto* mp = &node.memory();
-      k.fn = [mp, dst, land, elems, bytes](gpu::WorkGroupCtx& ctx)
-          -> sim::Task<> {
-        if (ctx.wg_id() == 0) {
-          combine(*mp, dst, land, elems);
-          ctx.mark_dirty();
-        }
-        co_await ctx.compute_mem(reduce_traffic(bytes) /
-                                 static_cast<std::uint64_t>(ctx.num_wgs()));
-      };
-      co_await node.rt().launch_sync(std::move(k));
+    if (step.reduce) {
+      co_await node.rt().launch_sync(
+          make_reduce_kernel(w, r, step.recv_chunk, land));
     }
   }
 }
@@ -175,54 +180,34 @@ sim::Task<> gds_rank(Workspace& w, int r) {
   auto& node = w.cluster.node(r);
   auto& st = w.states[r];
   std::shared_ptr<gpu::KernelRecord> last;
-  sim::Event all_posted(w.cluster.node_sim(r));
+  const auto& steps = st.plan.steps();
 
-  for (std::size_t round = 0; round < st.schedule.rounds.size(); ++round) {
-    const auto& rd = st.schedule.rounds[round];
-    const rt::CollSend& snd = rd.sends[0];
-    const rt::CollRecv& rcv = rd.recvs[0];
-    const bool reduce = !rd.reduces.empty();
+  for (std::size_t round = 0; round < steps.size(); ++round) {
+    const rt::RingStep& step = steps[round];
     int p = static_cast<int>(round % 2);
-    auto& peer = w.states[snd.peer];
+    auto& peer = w.states[step.to];
     // Where my chunk lands at the receiver: staging (reduce phase) or final
     // position (allgather phase). Static scheme, known at post time (§3.4).
     mem::Addr remote =
-        reduce ? peer.rx[p] : w.chunk_addr(snd.peer, snd.chunk);
+        step.reduce ? peer.rx[p] : w.chunk_addr(step.to, step.send_chunk);
 
     nic::PutDesc put;
-    put.target = snd.peer;
-    put.local_addr = w.chunk_addr(r, snd.chunk);
-    put.bytes = w.chunk_bytes(r, snd.chunk);
+    put.target = step.to;
+    put.local_addr = w.chunk_addr(r, step.send_chunk);
+    put.bytes = w.chunk_bytes(r, step.send_chunk);
     put.remote_addr = remote;
     put.remote_flag = peer.step_flag;
     put.flag_value = round + 1;
     co_await node.rt().gds_stream_put(put);
     node.rt().gds_stream_wait(st.step_flag, round + 1);
 
-    if (reduce) {
-      std::size_t elems = st.plan.chunk_elems(rcv.chunk);
-      mem::Addr dst = w.chunk_addr(r, rcv.chunk);
-      mem::Addr land = st.rx[p];
-      std::uint64_t bytes = w.chunk_bytes(r, rcv.chunk);
-      gpu::KernelDesc k;
-      k.name = "reduce";
-      k.num_wgs = w.config.num_wgs;
-      auto* mp = &node.memory();
-      k.fn = [mp, dst, land, elems, bytes](gpu::WorkGroupCtx& ctx)
-          -> sim::Task<> {
-        if (ctx.wg_id() == 0) {
-          combine(*mp, dst, land, elems);
-          ctx.mark_dirty();
-        }
-        co_await ctx.compute_mem(reduce_traffic(bytes) /
-                                 static_cast<std::uint64_t>(ctx.num_wgs()));
-      };
-      last = co_await node.rt().launch(std::move(k));
+    if (step.reduce) {
+      last = co_await node.rt().launch(
+          make_reduce_kernel(w, r, step.recv_chunk, st.rx[p]));
     }
   }
   // Allgather rounds end with a wait; ensure the final round's data arrived.
-  co_await node.cpu().wait_value_ge(st.step_flag,
-                                    st.schedule.rounds.size());
+  co_await node.cpu().wait_value_ge(st.step_flag, steps.size());
   if (last) co_await last->done.wait();
 }
 

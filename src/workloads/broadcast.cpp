@@ -46,8 +46,6 @@ struct Workspace {
     return vec[node] + chunk_elems * static_cast<std::size_t>(c) * 4;
   }
 
-  /// The simulator owning node `id` (all of them when --shards 1).
-
   sim::ShardEngine engine;
   cluster::Cluster cluster;
   BroadcastConfig config;

@@ -171,6 +171,32 @@ TEST(Fabric, UnknownNodeThrows) {
   EXPECT_THROW(f.fabric.send(make_msg(-1, 1, 8)), std::out_of_range);
 }
 
+TEST(Fabric, IdealWireIsTotalOnDumpInput) {
+  // The shared wire model also reads hand-edited flight dumps, so every
+  // input is defined: no bandwidth serializes in zero time, a zero MTU is
+  // one packet, and zero hops counts as one switch.
+  const WireParams w = test_config().wire();
+  const WireParts star = ideal_wire(w, 10000, 1);
+  EXPECT_EQ(star.total(), Fixture(2).fabric.ideal_latency(10000));
+  EXPECT_EQ(star.link, 2 * sim::ns(100));
+  EXPECT_EQ(star.switching, sim::ns(100));
+  EXPECT_EQ(ideal_wire(w, 10000, 0).total(), star.total());
+
+  WireParams no_bw = w;
+  no_bw.bytes_per_sec = 0.0;
+  const WireParts idle = ideal_wire(no_bw, 10000, 3);
+  EXPECT_EQ(idle.serialization, 0);
+  EXPECT_EQ(idle.total(), 4 * sim::ns(100) + 3 * sim::ns(100));
+
+  WireParams no_mtu = w;
+  no_mtu.mtu_bytes = 0;
+  // 64-byte header + payload as one packet with one per-packet overhead;
+  // the lead packet is the whole message.
+  sim::Tick one = test_config().bandwidth.serialize(64 + 10000 + 16);
+  EXPECT_EQ(ideal_wire(no_mtu, 10000, 1).serialization, 2 * one);
+  EXPECT_EQ(ideal_wire(WireParams{}, 0, 0).total(), 0);
+}
+
 TEST(Fabric, BandwidthBoundThroughput) {
   Fixture f(2);
   // 10 x 1 MiB messages on one path: total time ~ total bytes / bandwidth.

@@ -147,8 +147,9 @@ TEST(FlowControl, AdaptiveRoutingUnderCreditsIsRunToRunIdentical) {
 
 TEST(FlowControl, IdleMultiHopFabricIsExactlyIdeal) {
   // One message, empty fabric: measured latency must equal the hop-aware
-  // ideal to the picosecond, and the analyzer's replica of that formula
-  // must agree — this pins switch_queue == 0 on an idle fat-tree.
+  // ideal to the picosecond, and the shared wire model the analyzer reads
+  // from the dump's wire params must agree — this pins switch_queue == 0 on
+  // an idle fat-tree.
   Fixture f(16, config_for("fat-tree:k=4", /*credits=*/0));
   const std::size_t bytes = 10000;
   EXPECT_EQ(f.fabric.hop_count(0, 15), 5);
@@ -158,16 +159,16 @@ TEST(FlowControl, IdleMultiHopFabricIsExactlyIdeal) {
   sim::Tick got = f.sinks[15]->arrival_times[0];
   EXPECT_EQ(got, f.fabric.ideal_latency(bytes, 0, 15));
 
-  obs::WireParams w;
+  net::WireParams w;
   w.bytes_per_sec = sim::Bandwidth::gbps(100).bytes_per_second();
   w.link_latency_ps = sim::ns(100);
   w.switch_latency_ps = sim::ns(100);
   w.mtu_bytes = 4096;
   w.header_bytes = 64;
   w.per_packet_overhead = 16;
-  EXPECT_EQ(got, obs::ideal_wire_ps(w, bytes, /*hops=*/5));
+  EXPECT_EQ(got, net::ideal_wire(w, bytes, /*hops=*/5).total());
   // And the star short-circuit still matches the seed's one-arg formula.
-  EXPECT_EQ(obs::ideal_wire_ps(w, bytes, 1),
+  EXPECT_EQ(net::ideal_wire(w, bytes, 1).total(),
             Fixture(2, config_for("star", 0)).fabric.ideal_latency(bytes));
   f.sim.reap_processes();
 }

@@ -54,8 +54,8 @@ TEST(CriticalPath, BlameSumsExactlyToOpLatency) {
 
 TEST(CriticalPath, IdealWireMatchesFabricForUncongestedLegs) {
   // On an idle fabric the measured wire time IS the ideal: switch_queue
-  // must come out zero, proving the analyzer's replica of
-  // Fabric::ideal_latency agrees with the simulator's own arithmetic.
+  // must come out zero, proving the wire params embedded in the dump drive
+  // net::ideal_wire to the simulator's own timing.
   FlightRecorder rec(FlightConfig{});
   serve::ServeConfig cfg = mini_serve(workloads::Strategy::kGpuTn, &rec);
   cfg.requests = 20;  // light load: no fabric queueing
@@ -159,6 +159,58 @@ TEST(CriticalPath, MalformedInputThrows) {
   // Ops missing their req leg are malformed, not silently skipped.
   EXPECT_THROW(analyze_flight("{\"ops\":[{\"tenant\":0}]}", "x"),
                std::runtime_error);
+  // Integer fields that do not fit their type (negative counts, values past
+  // 2^64) are rejected rather than cast.
+  auto leg_dump = [](const std::string& extra) {
+    return "{\"ops\":[{\"req\":{\"flow\":1,\"bytes\":8," + extra +
+           "\"stamps\":{\"cmd\":0,\"wire\":10,\"rx\":20}}}]}";
+  };
+  ASSERT_NO_THROW(analyze_flight(leg_dump(""), "x"));
+  for (const char* field :
+       {"\"hops\":-1,", "\"bytes\":1e30,", "\"retransmits\":-2,",
+        "\"kind\":4294967296,", "\"src\":1e10,", "\"flow\":-1,"}) {
+    try {
+      analyze_flight(leg_dump(field), "x");
+      ADD_FAILURE() << "no throw for " << field;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("flight dump: field '"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_THROW(
+      analyze_flight(R"({"ops":[{"req":{"stamps":{"wire":1e300}}}]})", "x"),
+      std::runtime_error);
+  EXPECT_THROW(analyze_flight(R"({"wire":{"mtu_bytes":-1},"ops":[]})", "x"),
+               std::runtime_error);
+  EXPECT_THROW(
+      analyze_flight(R"({"wire":{"per_packet_overhead":1e30},"ops":[]})",
+                     "x"),
+      std::runtime_error);
+  EXPECT_THROW(analyze_flight(R"({"ops":[{"op_tag":-5,"req":)"
+                              R"({"stamps":{}}}]})",
+                              "x"),
+               std::runtime_error);
+}
+
+TEST(CriticalPath, DumpWithoutWireParamsBlamesAllWireTimeOnSwitchQueue) {
+  // No "wire" object: every parameter reads as zero, so the shared wire
+  // model's guards yield a zero ideal — zero bandwidth serializes in no
+  // time, zero MTU is one packet, hops 0 is one switch — and all measured
+  // wire time lands in switch_queue.
+  Analysis a = analyze_flight(
+      R"({"ops":[{"req":{"flow":1,"bytes":5000,"hops":0,)"
+      R"("stamps":{"cmd":0,"wire":100,"rx":900,"deposit":1000}}}]})",
+      "nowire");
+  ASSERT_EQ(a.runs.size(), 1u);
+  ASSERT_EQ(a.runs[0].ops.size(), 1u);
+  auto blame = blame_op(a.runs[0].ops[0], a.runs[0].wire);
+  EXPECT_EQ(blame["wire"], 0);
+  EXPECT_EQ(blame["switch_queue"], 800);
+  ASSERT_EQ(a.runs[0].paths.size(), 1u);
+  for (const CategoryRow& row : a.runs[0].paths[0].rows) {
+    EXPECT_NE(row.category, "wire");
+  }
 }
 
 TEST(CriticalPath, ParsesMergedArraysAndKeepsRunOrder) {

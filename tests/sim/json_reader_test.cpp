@@ -62,5 +62,35 @@ TEST(JsonReader, TryParseMirrorsParse) {
   EXPECT_FALSE(try_parse("").has_value());
 }
 
+TEST(JsonReader, LenientReadersFallBackToTheDefault) {
+  // The report-style readers: a present, well-typed field is returned; a
+  // missing or wrong-typed one yields the default, never a throw.
+  Value v = parse(R"({"n": 2.5, "i": -7.9, "s": "x", "b": true,
+                      "huge": 1e30, "null": null, "obj": {}})");
+  EXPECT_DOUBLE_EQ(num_or(v, "n"), 2.5);
+  EXPECT_DOUBLE_EQ(num_or(v, "absent", 4.0), 4.0);
+  EXPECT_DOUBLE_EQ(num_or(v, "s", -1.0), -1.0);
+  EXPECT_DOUBLE_EQ(num_or(v, "null"), 0.0);
+
+  EXPECT_EQ(int_or(v, "i"), -7);  // truncates toward zero
+  EXPECT_EQ(int_or(v, "absent", 3), 3);
+  EXPECT_EQ(int_or(v, "b", 3), 3);
+  EXPECT_EQ(int_or(v, "huge", 3), 3);  // does not fit int64
+
+  EXPECT_EQ(str_or(v, "s"), "x");
+  EXPECT_EQ(str_or(v, "n"), "");
+  EXPECT_EQ(str_or(v, "absent", "dflt"), "dflt");
+
+  EXPECT_TRUE(bool_or(v, "b"));
+  EXPECT_FALSE(bool_or(v, "n"));
+  EXPECT_TRUE(bool_or(v, "obj", true));
+  EXPECT_FALSE(bool_or(v, "absent"));
+
+  // Non-object receivers have no fields at all.
+  Value arr = parse("[1, 2]");
+  EXPECT_DOUBLE_EQ(num_or(arr, "n", 9.0), 9.0);
+  EXPECT_EQ(str_or(arr, "s"), "");
+}
+
 }  // namespace
 }  // namespace gputn::sim::json
