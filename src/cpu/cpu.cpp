@@ -49,9 +49,10 @@ sim::Task<> Cpu::compute_parallel(double flops, std::uint64_t bytes) {
 
 sim::Task<> Cpu::wait_value_ge(mem::Addr addr, std::uint64_t value) {
   ++stats_.counter("flag_waits");
-  while (mem_->load<std::uint64_t>(addr) < value) {
-    co_await compute(config_.poll_interval);
-  }
+  if (mem_->load<std::uint64_t>(addr) >= value) co_return;
+  mem::FlagWait wait = flag_wait();
+  wait.add(addr, value);
+  co_await spin(wait);
 }
 
 }  // namespace gputn::cpu

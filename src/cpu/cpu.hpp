@@ -8,6 +8,7 @@
 
 #include <cstdint>
 
+#include "mem/flag_wait.hpp"
 #include "mem/memory.hpp"
 #include "obs/busy.hpp"
 #include "sim/stats.hpp"
@@ -80,6 +81,16 @@ class Cpu {
   /// Spin until *addr >= value, polling at the configured interval.
   sim::Task<> wait_value_ge(mem::Addr addr, std::uint64_t value);
 
+  /// A flag wait on this host's memory that checks its words once per
+  /// poll interval; add() the words, then co_await spin() on it.
+  mem::FlagWait flag_wait() {
+    return mem::FlagWait(*sim_, *mem_, {config_.poll_interval});
+  }
+  /// Spin on `wait` with one core held, as a loop of compute(poll_interval)
+  /// polls would: one ledger acquire per poll, busy throughout. A
+  /// frame-free awaiter; co_await it where it is called.
+  auto spin(mem::FlagWait& wait);
+
   /// Streaming time for `bytes` with the L3/DRAM blend: the first
   /// `l3_tier_bytes` are served at L3 speed, the remainder at `miss_bw`.
   /// Continuous in `bytes`, so scaling curves have no cliff at the tier.
@@ -137,5 +148,24 @@ inline auto Cpu::occupy(int units, sim::Tick t) {
 }
 
 inline auto Cpu::compute(sim::Tick t) { return occupy(1, t); }
+
+inline auto Cpu::spin(mem::FlagWait& wait) {
+  struct Awaiter {
+    Cpu* cpu;
+    mem::FlagWait* wait;
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> h) {
+      cpu->util_.acquire(cpu->sim_->now());
+      wait->await_suspend(h);
+    }
+    sim::PollResult await_resume() {
+      sim::PollResult r = wait->await_resume();
+      cpu->util_.add_ops(r.hops - 1);
+      cpu->util_.release(cpu->sim_->now());
+      return r;
+    }
+  };
+  return Awaiter{this, &wait};
+}
 
 }  // namespace gputn::cpu

@@ -31,11 +31,14 @@ sim::Task<> WorkGroupCtx::diverged(int paths, sim::Tick per_path) {
 }
 
 sim::Task<> WorkGroupCtx::wait_value_ge(mem::Addr addr, std::uint64_t value) {
-  for (;;) {
-    std::uint64_t v = co_await load_system(addr);
-    if (v >= value) co_return;
-    co_await compute(gpu_->config().poll_interval);
-  }
+  if (co_await load_system(addr) >= value) co_return;
+  // Then a poll-interval pause and another acquire load, until one sees it.
+  const GpuConfig& cfg = gpu_->config();
+  mem::FlagWait wait(gpu_->simulator(), mem(),
+                     {cfg.poll_interval, sim::PollHop::kNone},
+                     {cfg.load_system_latency, sim::PollHop::kAll});
+  wait.add(addr, value);
+  co_await wait;
 }
 
 Gpu::Gpu(sim::Simulator& sim, mem::Memory& memory, GpuConfig config)
@@ -90,8 +93,10 @@ sim::Task<> Gpu::front_end_loop() {
       p->nic->ring_doorbell(std::move(p->cmd));
       ++stats_.counter("gds_doorbells");
     } else if (auto* w = std::get_if<GdsWaitOp>(&op)) {
-      while (mem_->load<std::uint64_t>(w->addr) < w->value) {
-        co_await sim_->delay(config_.poll_interval);
+      if (mem_->load<std::uint64_t>(w->addr) < w->value) {
+        mem::FlagWait wait(*sim_, *mem_, {config_.poll_interval});
+        wait.add(w->addr, w->value);
+        co_await wait;
       }
     }
   }

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "gpu/launch_model.hpp"
+#include "mem/flag_wait.hpp"
 #include "mem/memory.hpp"
 #include "nic/nic.hpp"
 #include "obs/busy.hpp"

@@ -1,5 +1,7 @@
 #include "mem/dma.hpp"
 
+#include <utility>
+
 namespace gputn::mem {
 
 sim::Task<> DmaEngine::consume_time(std::uint64_t n) {
@@ -16,10 +18,9 @@ sim::Task<> DmaEngine::consume_time(std::uint64_t n) {
 
 sim::Task<> DmaEngine::copy(Addr dst, Addr src, std::uint64_t n) {
   co_await consume_time(n);
-  // Functional move happens at completion time.
-  auto s = mem_->bytes(src, n);
-  auto d = mem_->bytes(dst, n);
-  std::memcpy(d.data(), s.data(), n);
+  // Functional move happens at completion time, through write() so a
+  // parked flag poll hears a copy that lands on its word.
+  mem_->write(dst, std::as_const(*mem_).bytes(src, n).data(), n);
 }
 
 sim::Task<> DmaEngine::read_into(std::vector<std::byte>& dst, Addr src,

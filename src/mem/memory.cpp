@@ -2,6 +2,8 @@
 
 #include <sys/mman.h>
 
+#include <algorithm>
+#include <cassert>
 #include <new>
 
 namespace gputn::mem {
@@ -13,7 +15,10 @@ Memory::Memory(std::uint64_t dram_bytes) : dram_bytes_(dram_bytes) {
   dram_ = static_cast<std::byte*>(p);
 }
 
-Memory::~Memory() { ::munmap(dram_, dram_bytes_); }
+Memory::~Memory() {
+  for (const Watch& w : watches_) w.w->on_memory_gone();
+  ::munmap(dram_, dram_bytes_);
+}
 
 Addr Memory::alloc(std::uint64_t bytes, std::uint64_t align) {
   if (align == 0 || (align & (align - 1)) != 0) {
@@ -37,6 +42,34 @@ void Memory::check_range(Addr addr, std::size_t n) const {
 void Memory::write(Addr addr, const void* src, std::size_t n) {
   check_range(addr, n);
   std::memcpy(dram_ + addr, src, n);
+  if (watched(addr, n)) [[unlikely]] notify_watchers(addr, n);
+}
+
+void Memory::notify_watchers(Addr addr, std::size_t n) {
+  // Index-based: a watcher must not add or drop watches from the
+  // callback, but indexing keeps the walk safe if one does.
+  for (std::size_t i = 0; i < watches_.size(); ++i) {
+    const Watch& w = watches_[i];
+    if (w.word < addr + n && w.word + 8 > addr) {
+      w.w->on_watched_write(w.item);
+    }
+  }
+}
+
+void Memory::watch(Addr word, WriteWatcher* w, int item) {
+  watches_.push_back(Watch{word, w, item});
+  watch_lo_ = std::min(watch_lo_, word);
+  watch_hi_ = std::max(watch_hi_, word + 8);
+}
+
+void Memory::unwatch(WriteWatcher* w) {
+  std::erase_if(watches_, [w](const Watch& x) { return x.w == w; });
+  watch_lo_ = ~Addr{0};
+  watch_hi_ = 0;
+  for (const Watch& x : watches_) {
+    watch_lo_ = std::min(watch_lo_, x.word);
+    watch_hi_ = std::max(watch_hi_, x.word + 8);
+  }
 }
 
 void Memory::read(Addr addr, void* dst, std::size_t n) const {
@@ -46,6 +79,12 @@ void Memory::read(Addr addr, void* dst, std::size_t n) const {
 
 std::span<std::byte> Memory::bytes(Addr addr, std::size_t n) {
   check_range(addr, n);
+  assert(!watched(addr, n) ||
+         std::none_of(watches_.begin(), watches_.end(),
+                      [&](const Watch& w) {
+                        return w.word < addr + n && w.word + 8 > addr;
+                      }) ||
+         !"mutable view over a watched flag word: write it with write()");
   return {dram_ + addr, n};
 }
 

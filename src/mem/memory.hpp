@@ -17,6 +17,7 @@
 #include <memory>
 #include <span>
 #include <stdexcept>
+#include <vector>
 
 #include "sim/units.hpp"
 
@@ -32,6 +33,16 @@ class MmioHandler {
  public:
   virtual ~MmioHandler() = default;
   virtual void on_mmio_store(Addr addr, std::uint64_t value) = 0;
+};
+
+/// Receiver of writes to watched 8-byte words (mem::FlagWait). A watcher
+/// hears every write that overlaps one of its words, and hears when the
+/// memory itself goes away.
+class WriteWatcher {
+ public:
+  virtual ~WriteWatcher() = default;
+  virtual void on_watched_write(int item) = 0;
+  virtual void on_memory_gone() = 0;
 };
 
 class Memory {
@@ -79,6 +90,14 @@ class Memory {
     return {reinterpret_cast<T*>(b.data()), count};
   }
 
+  // -- Write watches -------------------------------------------------------
+  /// Report every write() overlapping the 8-byte word at `word` to `w` as
+  /// item `item`. Writes through mutable bytes()/typed() views bypass the
+  /// hook; debug builds assert that no such view covers a watched word.
+  void watch(Addr word, WriteWatcher* w, int item);
+  /// Drop all of `w`'s watches.
+  void unwatch(WriteWatcher* w);
+
   // -- MMIO ----------------------------------------------------------------
   /// Map `bytes` of MMIO space to a handler; returns the window base.
   Addr map_mmio(std::uint64_t bytes, MmioHandler* handler);
@@ -89,6 +108,21 @@ class Memory {
 
  private:
   void check_range(Addr addr, std::size_t n) const;
+  bool watched(Addr addr, std::size_t n) const {
+    return addr < watch_hi_ && addr + n > watch_lo_;
+  }
+  void notify_watchers(Addr addr, std::size_t n);
+
+  struct Watch {
+    Addr word;
+    WriteWatcher* w;
+    int item;
+  };
+  std::vector<Watch> watches_;  // a handful at a time: scanned, not sorted
+  // Bounds of the watched words: [watch_lo_, watch_hi_), empty when
+  // nothing is watched, so an unwatched write costs one compare.
+  Addr watch_lo_ = ~Addr{0};
+  Addr watch_hi_ = 0;
 
   std::byte* dram_ = nullptr;
   std::uint64_t dram_bytes_;

@@ -58,6 +58,9 @@ class BusyTracker {
   }
 
   void add_bytes(std::uint64_t n) { bytes_ += n; }
+  /// Count `n` more acquires of a unit that stayed busy throughout (a
+  /// parked poll's elided release/acquire pairs leave the busy time as is).
+  void add_ops(std::uint64_t n) { ops_ += n; }
 
   int capacity() const { return capacity_; }
   int in_use() const { return in_use_; }

@@ -89,6 +89,8 @@ struct Reactor {
   };
   std::vector<Waiter> waiters;
   sim::Condition cond;
+  /// The poller's flag wait while it spins: new waiters join it.
+  mem::FlagWait* spinning = nullptr;
 };
 
 struct Workspace {
@@ -266,6 +268,7 @@ struct Workspace {
     sim::Event ev(cluster.node_sim(client_node));
     auto& r = *reactors[static_cast<std::size_t>(client_node)];
     r.waiters.push_back({addr, value, &ev});
+    if (r.spinning != nullptr) r.spinning->add(addr, value);
     r.cond.notify_all();
     co_await ev.wait();
   }
@@ -301,7 +304,12 @@ sim::Task<> reactor_loop(Workspace& w, int client_node) {
       co_await r.cond.wait();
       continue;
     }
-    co_await node.cpu().compute(node.cpu().config().poll_interval);
+    // Spin until a poll finds some waiter's flag raised, then scan.
+    mem::FlagWait wait = node.cpu().flag_wait();
+    for (const auto& wt : r.waiters) wait.add(wt.addr, wt.value);
+    r.spinning = &wait;
+    co_await node.cpu().spin(wait);
+    r.spinning = nullptr;
     for (std::size_t i = 0; i < r.waiters.size();) {
       const auto& wt = r.waiters[i];
       if (node.memory().load<std::uint64_t>(wt.addr) >= wt.value) {
@@ -409,7 +417,17 @@ sim::Task<> cpu_server(Workspace& w, int s, sim::Tick& ready_at) {
       --remaining;
       progress = true;
     }
-    if (!progress) co_await cpu.compute(cpu.config().poll_interval);
+    if (!progress) {
+      // Idle: spin until a poll finds the next round of some slot.
+      mem::FlagWait wait = cpu.flag_wait();
+      for (int slot : st.active) {
+        auto sl = static_cast<std::size_t>(slot);
+        if (st.processed[sl] < st.expected[sl]) {
+          wait.add(st.req_flag[sl], st.processed[sl] + 1);
+        }
+      }
+      co_await cpu.spin(wait);
+    }
   }
 }
 
@@ -442,26 +460,50 @@ sim::Task<> gputn_server(Workspace& w, int s, sim::Tick& ready_at) {
          i += static_cast<std::size_t>(ctx.num_wgs())) {
       mine.push_back(state.active[i]);
     }
-    for (;;) {
-      bool all_done = true;
-      for (int slot : mine) {
-        auto sl = static_cast<std::size_t>(slot);
-        if (state.processed[sl] >= state.expected[sl]) continue;
-        all_done = false;
-        std::uint64_t want = state.processed[sl] + 1;
-        // System-scope acquire load doubles as the poll pacing.
-        std::uint64_t v = co_await ctx.load_system(state.req_flag[sl]);
-        if (v < want) continue;
-        std::uint64_t key =
-            ctx.load_data<std::uint64_t>(ws->slot_addr(s, slot));
-        co_await ctx.compute(compute);
-        ws->apply_put(s, slot, key, want, ctx.mem());
-        ctx.mark_dirty();
-        co_await ctx.fence_system();
-        co_await ctx.store_system(trig, slot_tag(slot, want));
-        state.processed[sl] = want;
+    auto pending = [&](std::size_t i) {
+      auto sl = static_cast<std::size_t>(mine[i]);
+      return state.processed[sl] < state.expected[sl];
+    };
+    // Sweep the unfinished slots round-robin, one system-scope acquire
+    // load each (the load doubles as the poll pacing).
+    std::vector<std::size_t> ring;  // unfinished slots, next to read first
+    for (std::size_t at = 0;;) {
+      std::size_t n = mine.size();
+      std::size_t k = 0;
+      while (k < n && !pending((at + k) % n)) ++k;
+      if (k == n) break;
+      at = (at + k) % n;
+      auto sl = static_cast<std::size_t>(mine[at]);
+      std::uint64_t want = state.processed[sl] + 1;
+      if (co_await ctx.load_system(state.req_flag[sl]) < want) {
+        // Keep sweeping without running the loads that see nothing: the
+        // flag wait reads the next unfinished slot each load latency.
+        ring.clear();
+        for (std::size_t q = 1; q <= n; ++q) {
+          if (pending((at + q) % n)) ring.push_back((at + q) % n);
+        }
+        mem::FlagWait wait(ctx.gpu().simulator(), ctx.mem(),
+                           {ctx.gpu().config().load_system_latency,
+                            sim::PollHop::kRotate});
+        for (std::size_t i : ring) {
+          auto r = static_cast<std::size_t>(mine[i]);
+          wait.add(state.req_flag[r], state.processed[r] + 1);
+        }
+        sim::PollResult got = co_await wait;
+        at = ring[static_cast<std::size_t>(got.item)];
+        sl = static_cast<std::size_t>(mine[at]);
+        want = state.processed[sl] + 1;
       }
-      if (all_done) break;
+      int slot = mine[at];
+      std::uint64_t key =
+          ctx.load_data<std::uint64_t>(ws->slot_addr(s, slot));
+      co_await ctx.compute(compute);
+      ws->apply_put(s, slot, key, want, ctx.mem());
+      ctx.mark_dirty();
+      co_await ctx.fence_system();
+      co_await ctx.store_system(trig, slot_tag(slot, want));
+      state.processed[sl] = want;
+      at = (at + 1) % n;
     }
   };
   auto rec = co_await node.rt().launch(std::move(k));

@@ -21,6 +21,7 @@ ShardEngine::ShardEngine(int shards) {
   win_error_.resize(n);
   for (std::size_t s = 0; s < n; ++s) {
     sims_[s]->set_defer_sink(&deferred_[s], &emit_seq_[s]);
+    sims_[s]->set_timed_polls(shards > 1);
   }
   if (shards > 1) {
     workers_.reserve(n);

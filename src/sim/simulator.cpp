@@ -6,6 +6,8 @@
 #include <cstdio>
 #include <stdexcept>
 
+#include "sim/poll_engine.hpp"
+
 namespace gputn::sim {
 
 std::string format_time(Tick t) {
@@ -62,6 +64,11 @@ Simulator::Simulator() : log_("sim", &now_) {}
 
 Simulator::~Simulator() { reap_processes(); }
 
+PollEngine& Simulator::polls() {
+  if (!polls_) polls_ = std::make_unique<PollEngine>(*this);
+  return *polls_;
+}
+
 void Simulator::reap_processes() {
   // Destroy still-suspended detached frames (infinite service loops such as
   // link pumps, NIC engines). Destroying a suspended coroutine runs its
@@ -79,9 +86,19 @@ void Simulator::reap_processes() {
   live_states_.clear();
 }
 
-void Simulator::schedule_overflow(Tick when, EventFn fn) {
+void Simulator::schedule_keyed(Tick when, std::uint64_t seq, EventFn fn) {
+  assert(when > now_);
+  pending_++;
+  if (block_of(when) < cur_blk_ + kBuckets) {
+    insert_into_wheel(Item{when, seq, std::move(fn)});
+  } else {
+    schedule_overflow(when, seq, std::move(fn));
+  }
+}
+
+void Simulator::schedule_overflow(Tick when, std::uint64_t seq, EventFn fn) {
   std::uint64_t blk = block_of(when);
-  overflow_.push_back(Item{when, next_seq_ - 1, std::move(fn)});
+  overflow_.push_back(Item{when, seq, std::move(fn)});
   std::push_heap(overflow_.begin(), overflow_.end(), OverflowAfter{});
   if (blk < overflow_min_blk_) overflow_min_blk_ = blk;
 }
@@ -102,9 +119,9 @@ void Simulator::schedule_event(Tick when, EventFn fn) {
   }
   std::uint64_t blk = block_of(when);
   if (blk < cur_blk_ + kBuckets) {
-    insert_into_wheel(Item{when, next_seq_ - 1, std::move(fn)});
+    insert_into_wheel(Item{when, next_seq_, std::move(fn)});
   } else {
-    schedule_overflow(when, std::move(fn));
+    schedule_overflow(when, next_seq_, std::move(fn));
   }
 }
 
@@ -335,6 +352,7 @@ std::uint64_t Simulator::run_loop(Tick limit) {
       EventFn fn = std::move(fifo_[fifo_head_]);
       ++fifo_head_;
       --pending_;
+      if (poll_log_) [[unlikely]] polls_->before_fifo_event();
       fn();
       ++executed;
     }
@@ -353,6 +371,11 @@ std::uint64_t Simulator::run_loop(Tick limit) {
     // executed count is lost on propagation).
     const Tick t = now_;
     for (;;) {
+      if (poll_log_) [[unlikely]] {
+        // A parked poll woken for this tick may have to run first.
+        if (polls_->has_injections()) polls_->flush_injections();
+        polls_->before_drain_event(drain_.back().seq);
+      }
       --pending_;
       try {
         drain_.back().fn();
@@ -362,7 +385,11 @@ std::uint64_t Simulator::run_loop(Tick limit) {
       }
       drain_.pop_back();
       ++executed;
-      if (drain_.empty() || drain_.back().when != t) break;
+      if (drain_.empty() || drain_.back().when != t) {
+        // A parked poll woken for this tick joins the batch here.
+        if (!poll_log_ || !polls_->has_injections()) break;
+        polls_->flush_injections();
+      }
     }
     if (drain_.empty()) {
       std::size_t idx = cur_blk_ & kBucketMask;
@@ -375,6 +402,7 @@ std::uint64_t Simulator::run_loop(Tick limit) {
       }
     }
   }
+  if (polls_) polls_->outside_events();
   executed_events_ += executed;
   return executed;
 }

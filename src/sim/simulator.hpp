@@ -20,12 +20,14 @@
 
 #include "sim/event_fn.hpp"
 #include "sim/log.hpp"
+#include "sim/poll.hpp"
 #include "sim/task.hpp"
 #include "sim/units.hpp"
 
 namespace gputn::sim {
 
 class Simulator;
+class PollEngine;
 
 /// Join handle for a detached process started with Simulator::spawn.
 /// Cheap to copy; all copies refer to the same process.
@@ -95,14 +97,14 @@ class Simulator {
     std::uint64_t blk = block_of(when);
     if (blk < cur_blk_ + kBuckets) {
       std::size_t idx = blk & kBucketMask;
-      wheel_[idx].emplace_back(when, next_seq_ - 1, std::forward<F>(fn));
+      wheel_[idx].emplace_back(when, next_seq_, std::forward<F>(fn));
       OccWord& w = occ_[idx >> 6];
       std::uint64_t bit = std::uint64_t{1} << (idx & 63);
       w.occ |= bit;
       w.dirty |= bit;
       occ_summary_ |= std::uint64_t{1} << (idx >> 6);
     } else {
-      schedule_overflow(when, EventFn(std::forward<F>(fn)));
+      schedule_overflow(when, next_seq_, EventFn(std::forward<F>(fn)));
     }
   }
   /// Schedule a callback `delay` picoseconds from now.
@@ -212,6 +214,11 @@ class Simulator {
   /// returned handle can be joined or ignored.
   ProcessHandle spawn(Task<> task, std::string name = "process");
 
+  /// Run every flag poll (sim/poll.hpp) as one timed event per hop instead
+  /// of parking it. The multi-shard engine sets this on its shards: there
+  /// the deferral horizon, not one run loop, orders same-tick events.
+  void set_timed_polls(bool on) { timed_polls_ = on; }
+
   /// Number of processes spawned that have not yet finished. A nonzero value
   /// after run() returns indicates a deadlocked process (e.g. waiting on an
   /// event nobody will trigger).
@@ -226,7 +233,9 @@ class Simulator {
   /// finishes. This is what lets a self-rescheduling observer (the
   /// obs::TimeSeries sampler) stop instead of keeping the simulation alive
   /// forever.
-  std::uint64_t pending_events() const { return pending_; }
+  /// A parked flag poll counts as the one pending event its spin loop
+  /// would have.
+  std::uint64_t pending_events() const { return pending_ + parked_idle_; }
 
   /// Destroy all still-suspended detached process frames. Owners of
   /// simulated hardware (e.g. Cluster) call this in their destructors so
@@ -235,6 +244,8 @@ class Simulator {
 
  private:
   friend class ProcessHandle;
+  friend class ParkedPoll;
+  friend class PollEngine;
 
   // Calendar geometry: 4096 buckets of 128 ps each give a ~0.52 us horizon
   // — enough that the per-packet delays (wire hops, doorbells, DMA, all
@@ -248,6 +259,9 @@ class Simulator {
 
   struct Item {
     Tick when;
+    // The schedule counter once this event was counted, so same-tick
+    // events run in scheduling order. 0 marks a parked-poll resolver
+    // (sim/poll.cpp), which runs first at its tick.
     std::uint64_t seq;
     EventFn fn;
   };
@@ -273,7 +287,7 @@ class Simulator {
   template <bool Bounded>
   __attribute__((always_inline)) bool advance_to_next_batch(Tick limit);
   /// Out-of-line slow path of schedule_at: push onto the far-future heap.
-  void schedule_overflow(Tick when, EventFn fn);
+  void schedule_overflow(Tick when, std::uint64_t seq, EventFn fn);
   /// Out-of-line slow path of schedule_at under an armed deferral horizon.
   void defer_event(Tick when, EventFn fn);
   /// Moves bucket `blk`'s events into drain_ (an O(1) vector swap when
@@ -300,6 +314,11 @@ class Simulator {
 
   void finish_process(std::shared_ptr<ProcessHandle::State> state);
 
+  /// Insert an event with an explicit order key, bypassing the counter
+  /// (`when` > now()): the parked-poll engine's resolvers use key 0.
+  void schedule_keyed(Tick when, std::uint64_t seq, EventFn fn);
+  PollEngine& polls();
+
   Tick now_ = 0;
   // Deferral horizon for conservative-PDES windows; kTickMax (the reset
   // value) keeps the hot schedule_at branch always-false in sequential
@@ -312,6 +331,13 @@ class Simulator {
   std::uint64_t executed_events_ = 0;
   std::uint64_t pending_ = 0;  // scheduled, not yet started (live count)
   int live_processes_ = 0;
+
+  // Parked flag polls (sim/poll.hpp). poll_log_ is set while any poll is
+  // parked: the run loop then logs each event for the wake-up arithmetic.
+  std::unique_ptr<PollEngine> polls_;
+  bool poll_log_ = false;
+  bool timed_polls_ = false;
+  std::uint64_t parked_idle_ = 0;  // parked polls with no wake scheduled
 
   // Events at when == now(): executed front to back; appends during
   // execution keep sequence order because only current-time events land

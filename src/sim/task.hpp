@@ -12,6 +12,7 @@
 
 #include <cassert>
 #include <coroutine>
+#include <cstddef>
 #include <exception>
 #include <utility>
 
@@ -22,9 +23,22 @@ class [[nodiscard]] Task;
 
 namespace detail {
 
+/// Coroutine-frame allocator: bounded per-thread free lists per 64-byte
+/// size class (frames up to 2 KiB), so the simulator's steady stream of
+/// short-lived Task frames reuses memory instead of going to the heap.
+/// Under AddressSanitizer both pass straight to the global heap, so a
+/// use-after-free of a frame is still caught.
+void* frame_alloc(std::size_t n);
+void frame_free(void* p, std::size_t n) noexcept;
+
 struct PromiseBase {
   std::coroutine_handle<> continuation;
   std::exception_ptr exception;
+
+  static void* operator new(std::size_t n) { return frame_alloc(n); }
+  static void operator delete(void* p, std::size_t n) noexcept {
+    frame_free(p, n);
+  }
 
   struct FinalAwaiter {
     bool await_ready() const noexcept { return false; }

@@ -216,10 +216,13 @@ MicrobenchResult run_ghn(Rig& r) {
         auto& cpu = rr.initiator.cpu();
         auto& mem = rr.initiator.memory();
         for (;;) {
-          while (mem.load<std::uint64_t>(request) == 0) {
+          if (mem.load<std::uint64_t>(request) == 0) {
             if (mem.load<std::uint64_t>(stop) != 0) co_return;
-            ++polls;
-            co_await cpu.compute(cpu.config().poll_interval);
+            // Spin until a poll sees a request or the stop flag.
+            mem::FlagWait wait = cpu.flag_wait();
+            wait.add(request, 1).add(stop, 1);
+            polls += (co_await cpu.spin(wait)).hops;
+            if (mem.load<std::uint64_t>(request) == 0) co_return;
           }
           mem.store<std::uint64_t>(request, 0);
           // Critical-path packet construction (the GPU-TN design moves

@@ -150,5 +150,46 @@ TEST(Memory, FunctionalAccessToMmioThrows) {
   EXPECT_THROW(m.read(w, &v, 8), std::out_of_range);
 }
 
+struct CountingWatcher final : WriteWatcher {
+  int writes = 0;
+  bool gone = false;
+  void on_watched_write(int) override { ++writes; }
+  void on_memory_gone() override { gone = true; }
+};
+
+TEST(Memory, WatchHearsOverlappingWritesOnly) {
+  CountingWatcher w;
+  {
+    Memory m(1 << 20);
+    Addr flag = m.alloc(64);
+    m.watch(flag + 8, &w, 0);
+    m.store<std::uint64_t>(flag, 1);       // the word before
+    m.store<std::uint64_t>(flag + 16, 1);  // the word after
+    EXPECT_EQ(w.writes, 0);
+    m.store<std::uint32_t>(flag + 12, 1);  // upper half of the word
+    m.store<std::uint64_t>(flag + 8, 2);
+    std::uint64_t block[4] = {};
+    m.write(flag, block, sizeof(block));   // a copy spanning it
+    EXPECT_EQ(w.writes, 3);
+    m.unwatch(&w);
+    m.store<std::uint64_t>(flag + 8, 3);
+    EXPECT_EQ(w.writes, 3);
+    m.watch(flag + 8, &w, 0);
+  }
+  EXPECT_TRUE(w.gone) << "the watcher hears the memory go away";
+}
+
+#ifndef NDEBUG
+TEST(MemoryDeathTest, MutableViewOverWatchedWordAsserts) {
+  Memory m(1 << 20);
+  Addr flag = m.alloc(64);
+  CountingWatcher w;
+  m.watch(flag + 8, &w, 0);
+  (void)m.bytes(flag + 16, 8);  // beside the word: fine
+  EXPECT_DEATH((void)m.typed<std::uint64_t>(flag, 2), "watched flag word");
+  m.unwatch(&w);
+}
+#endif
+
 }  // namespace
 }  // namespace gputn::mem

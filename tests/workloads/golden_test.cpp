@@ -17,10 +17,12 @@
 
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "obs/flight.hpp"
 #include "serve/serve.hpp"
 #include "workloads/allreduce.hpp"
+#include "workloads/broadcast.hpp"
 #include "workloads/jacobi.hpp"
 #include "workloads/microbench.hpp"
 
@@ -99,6 +101,67 @@ TEST(Golden, MicrobenchGpuTnTable1) {
   MicrobenchResult r = run_microbench(Strategy::kGpuTn);
   EXPECT_EQ(r.target_completion, 2940000);
   EXPECT_EQ(r.initiator_completion, 3980000);
+}
+
+/// Per-node CPU core ops and GPU slot busy time: flag-poll spins are what
+/// these ledgers count, so they pin every parked poll's accounting.
+void expect_node_util(const sim::StatRegistry& s,
+                      const std::vector<std::uint64_t>& cpu_ops,
+                      const std::vector<std::uint64_t>& gpu_busy_ps) {
+  for (std::size_t i = 0; i < cpu_ops.size(); ++i) {
+    std::string p = "util.node" + std::to_string(i);
+    EXPECT_EQ(s.counter_value(p + ".cpu.ops"), cpu_ops[i]) << p;
+    EXPECT_EQ(s.counter_value(p + ".gpu.cu.busy_ps"), gpu_busy_ps[i]) << p;
+  }
+}
+
+serve::ServeConfig golden_serve(Strategy st) {
+  serve::ServeConfig cfg;
+  cfg.strategy = st;
+  cfg.requests = 64;
+  cfg.read_fraction = 0.5;
+  cfg.quiet = true;
+  return cfg;
+}
+
+void expect_put_latency(const sim::StatRegistry& s, std::uint64_t count,
+                        double sum) {
+  const auto* h = s.find_histogram("lat.serve.put");
+  ASSERT_NE(h, nullptr);
+  EXPECT_EQ(h->count(), count);
+  EXPECT_EQ(h->summary().sum(), sum);
+}
+
+TEST(Golden, ServeCpuProxy) {
+  serve::ServeResult r = serve::run_serve(golden_serve(Strategy::kCpu));
+  ASSERT_TRUE(r.correct);
+  EXPECT_EQ(r.total_time, 81289412);
+  expect_node_util(r.net_stats, {1306, 1191, 912, 1021}, {0, 0, 0, 0});
+  EXPECT_EQ(r.net_stats.counter_value("serve.qp.doorbells"), 223u);
+  expect_put_latency(r.net_stats, 129, 272480.0);
+}
+
+TEST(Golden, ServeGpuTn) {
+  serve::ServeResult r = serve::run_serve(golden_serve(Strategy::kGpuTn));
+  ASSERT_TRUE(r.correct);
+  EXPECT_EQ(r.total_time, 82880000);
+  expect_node_util(r.net_stats, {1286, 1174, 3, 2},
+                   {0, 0, 943660000, 897800000});
+  EXPECT_EQ(r.net_stats.counter_value("serve.qp.doorbells"), 223u);
+  expect_put_latency(r.net_stats, 129, 238690.0);
+}
+
+TEST(Golden, BroadcastGpuTn) {
+  BroadcastConfig cfg;
+  cfg.bytes = 64 << 10;
+  cfg.chunks = 8;
+  cfg.quiet = true;
+  BroadcastResult r = run_broadcast(cfg);
+  ASSERT_TRUE(r.correct);
+  EXPECT_EQ(r.total_time, 18600000);
+  expect_node_util(r.net_stats, {9, 9, 9, 9, 9, 9, 9, 310},
+                   {700000, 6440000, 8200000, 9960000, 11720000, 13480000,
+                    15240000, 0});
 }
 
 /// Stats JSON with the engine's partition-dependent telemetry removed —
