@@ -15,14 +15,14 @@ std::size_t Plan::add_workload(const workloads::Registry& reg, std::string id,
     throw std::invalid_argument("exp::Plan: unknown workload '" + workload +
                                 "'");
   }
+  entry->validate(params);  // a misspelled parameter fails at build time
   opts.quiet = true;
   // The entry outlives the plan (registries are built once and never
-  // shrink); capture the runner by reference to the registry's storage.
-  const workloads::WorkloadRunner& run = entry->run;
+  // shrink); capture it by pointer into the registry's storage.
   return add(std::move(id),
-             [&run, opts, params = std::move(params),
+             [entry, opts, params = std::move(params),
               sys = std::move(sys)]() -> workloads::ResultBase {
-               return run(opts, params, sys);
+               return entry->run(opts, params, sys);
              });
 }
 

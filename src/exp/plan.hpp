@@ -47,8 +47,9 @@ class Plan {
   }
 
   /// Append a registry-dispatched point: `workload` is looked up in `reg`
-  /// immediately (throwing std::invalid_argument on an unknown name, so a
-  /// bad plan fails at build time, not mid-sweep) and executed with
+  /// and `params` checked against its declaration immediately (throwing
+  /// std::invalid_argument on an unknown name or parameter, so a bad plan
+  /// fails at build time, not mid-sweep) and executed with
   /// opts.quiet forced on — parallel workers must not interleave stdout.
   std::size_t add_workload(const workloads::Registry& reg, std::string id,
                            const std::string& workload,

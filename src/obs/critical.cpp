@@ -8,6 +8,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "obs/report.hpp"
 #include "sim/json.hpp"
 #include "sim/trace.hpp"
 
@@ -229,12 +230,6 @@ void build_paths(AnalyzedRun& run) {
               });
     run.paths.push_back(std::move(t));
   }
-}
-
-std::string fmt(const char* f, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, f, v);
-  return buf;
 }
 
 }  // namespace

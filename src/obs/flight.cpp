@@ -4,6 +4,8 @@
 #include <iterator>
 #include <utility>
 
+#include "sim/json.hpp"
+
 namespace gputn::obs {
 
 namespace {
@@ -64,16 +66,6 @@ void append_op(std::string& out, const OpRecord& op) {
     append_leg(out, op.resp);
   }
   out += '}';
-}
-
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
 }
 
 }  // namespace
@@ -196,8 +188,8 @@ std::string FlightRecorder::json() {
   flush_pending();
   std::string out;
   out.reserve(256 + ring_.size() * 384);
-  out += "{\"workload\":\"" + escape(label_) + "\",\"mode\":\"" +
-         escape(mode_) + "\"";
+  out += "{\"workload\":\"" + sim::json_escape(label_) + "\",\"mode\":\"" +
+         sim::json_escape(mode_) + "\"";
   out += ",\"wire\":{\"bytes_per_sec\":" +
          std::to_string(static_cast<std::uint64_t>(wire_.bytes_per_sec)) +
          ",\"link_latency_ps\":" + std::to_string(wire_.link_latency_ps) +
@@ -238,8 +230,8 @@ std::string merged_flight_json(
   std::string out = "[";
   for (std::size_t i = 0; i < points.size(); ++i) {
     if (i != 0) out += ',';
-    out += "{\"id\":\"" + escape(points[i].first) + "\",\"flight\":" +
-           points[i].second->json() + '}';
+    out += "{\"id\":\"" + sim::json_escape(points[i].first) +
+           "\",\"flight\":" + points[i].second->json() + '}';
   }
   out += ']';
   return out;

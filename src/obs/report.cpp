@@ -14,12 +14,6 @@ namespace json = ::gputn::sim::json;
 
 namespace {
 
-std::string fmt(const char* f, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), f, v);
-  return buf;
-}
-
 std::string fmt_u64(std::uint64_t v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%llu", static_cast<unsigned long long>(v));

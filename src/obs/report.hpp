@@ -26,11 +26,20 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdio>
 #include <map>
 #include <string>
 #include <vector>
 
 namespace gputn::obs {
+
+/// One double printed with a printf format, e.g. fmt("%.2f", v): the
+/// number formatting the report, blame and what-if renderers share.
+inline std::string fmt(const char* f, double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), f, v);
+  return buf;
+}
 
 struct ReportOptions {
   double saturation_pct = 90.0;  ///< flag resources busier than this

@@ -12,6 +12,7 @@
 #include "exp/runner.hpp"
 #include "obs/critical.hpp"
 #include "obs/flight.hpp"
+#include "obs/report.hpp"
 #include "sim/json.hpp"
 #include "sim/units.hpp"
 
@@ -20,12 +21,6 @@ namespace gputn::obs {
 namespace json = ::gputn::sim::json;
 
 namespace {
-
-std::string fmt(const char* f, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), f, v);
-  return buf;
-}
 
 /// Scale as a stable token: "0.5" / "2" / "1.25" / "inf". Used in point
 /// ids, the JSON, and the render, so all three agree.

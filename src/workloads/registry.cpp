@@ -63,6 +63,28 @@ double WorkloadParams::get_double(const std::string& key, double dflt,
   return v;
 }
 
+const ParamSpec* WorkloadEntry::param(const std::string& key) const {
+  for (const ParamSpec& p : params) {
+    if (p.name == key) return &p;
+  }
+  return nullptr;
+}
+
+void WorkloadEntry::validate(const WorkloadParams& p) const {
+  for (const auto& kv : p.values()) {
+    if (param(kv.first) == nullptr) {
+      throw std::invalid_argument("unknown flag --" + kv.first + " for " +
+                                  name);
+    }
+  }
+}
+
+ResultBase WorkloadEntry::run(const RunOptions& opts, const WorkloadParams& p,
+                              const cluster::SystemConfig& sys) const {
+  validate(p);
+  return runner(opts, p, sys);
+}
+
 void Registry::add(WorkloadEntry entry) { entries_.push_back(std::move(entry)); }
 
 const WorkloadEntry* Registry::find(const std::string& name) const {
@@ -220,8 +242,9 @@ ResultBase run_serve_entry(const RunOptions& opts, const WorkloadParams& p,
   cfg.qp_batch = static_cast<int>(p.get_int("batch", cfg.qp_batch, 1, 1024));
   cfg.nic_rate_limit =
       p.get_double("rate-limit", cfg.nic_rate_limit, 0.0, 1e12);
-  cfg.seed = static_cast<std::uint64_t>(
-      p.get_int("seed", static_cast<long>(cfg.seed), 0, 1L << 62));
+  // One seed per run: the one that seeds fault injection also draws the
+  // request schedule, so replicas (seeds S, S+1, ...) differ.
+  cfg.seed = sys.fault.seed;
   serve::ServeResult res = run_serve(cfg, sys);
   return res;
 }
@@ -229,21 +252,48 @@ ResultBase run_serve_entry(const RunOptions& opts, const WorkloadParams& p,
 }  // namespace
 
 void register_builtin_workloads(Registry& reg) {
-  reg.add({"microbench", "one-cache-line latency decomposition (Fig. 8)",
-           "--strategy CPU|HDN|GDS|GPU-TN|GHN|GNN", run_microbench_entry});
-  reg.add({"jacobi", "2-D Jacobi halo exchange on a 2x2 torus (Fig. 9)",
-           "--strategy S --n <grid> --iterations <k> --overlap",
+  const ParamSpec strategy{"strategy", "S",
+                           "driving strategy: CPU|HDN|GDS|GPU-TN"};
+  reg.add({"microbench",
+           "one-cache-line latency decomposition (Fig. 8)",
+           {{"strategy", "S", "driving strategy: CPU|HDN|GDS|GPU-TN|GHN|GNN"}},
+           run_microbench_entry});
+  reg.add({"jacobi",
+           "2-D Jacobi halo exchange on a 2x2 torus (Fig. 9)",
+           {strategy,
+            {"n", "N", "local grid edge per node"},
+            {"iterations", "K", "Jacobi iterations"},
+            {"overlap", "", "overlap interior compute with the halo exchange"}},
            run_jacobi_entry});
-  reg.add({"allreduce", "chunked-ring fp32 sum allreduce (Fig. 10)",
-           "--strategy S --nodes <n> --mb <size> --offload",
+  reg.add({"allreduce",
+           "chunked-ring fp32 sum allreduce (Fig. 10)",
+           {strategy,
+            {"mb", "MB", "vector size in MiB"},
+            {"offload", "", "run the allgather phase as NIC trigger chains"}},
            run_allreduce_entry});
-  reg.add({"broadcast", "pipelined ring broadcast / NIC trigger chains",
-           "--drive HDN|GPU-TN|NIC-chain --nodes <n> --mb <size> --chunks <c>",
+  reg.add({"broadcast",
+           "pipelined ring broadcast / NIC trigger chains",
+           {{"drive", "D", "HDN|GPU-TN|NIC-chain"},
+            {"mb", "MB", "payload in MiB"},
+            {"chunks", "C", "pipeline chunks"}},
            run_broadcast_entry});
   reg.add({"serve",
            "Zipf-skewed multi-tenant KV serving with tail-latency SLOs",
-           "--strategy CPU|GPU-TN --clients <n> --servers <m> --tenants <t> "
-           "--zipf <s> --rw-mix <r> --offered-load <rps> --slo-us <us>",
+           {{"strategy", "S", "CPU|GPU-TN"},
+            {"clients", "N", "client nodes"},
+            {"servers", "M", "server nodes (keys sharded key % M)"},
+            {"tenants", "T", "tenants, placed round-robin on the clients"},
+            {"window", "W", "outstanding requests per tenant"},
+            {"keys", "K", "keyspace size"},
+            {"zipf", "S", "key skew (0 = uniform)"},
+            {"rw-mix", "R", "get share of the op mix"},
+            {"offered-load", "RPS", "open-loop requests/s per tenant"},
+            {"requests", "N", "requests per tenant"},
+            {"value-bytes", "B", "value size (>= 16)"},
+            {"slo-us", "US", "per-request latency budget"},
+            {"compute-ns", "NS", "server work to apply one put"},
+            {"batch", "B", "client QP doorbell batch size"},
+            {"rate-limit", "OPS", "NIC command rate limit (0 = none)"}},
            run_serve_entry});
 }
 

@@ -8,6 +8,10 @@
 // bad input so the driver can report a usage error instead of running with
 // garbage), executes the workload, prints its report, and returns the
 // sliced ResultBase for the driver's exit-code / stats-export plumbing.
+//
+// Each entry declares every parameter its runner reads. The declaration is
+// the one source for the CLI's parser and usage text, and WorkloadEntry::run
+// rejects any parameter it does not list, whoever the caller is.
 #pragma once
 
 #include <functional>
@@ -36,6 +40,7 @@ class WorkloadParams {
   bool flag(const std::string& key) const { return has(key); }
 
   std::string get(const std::string& key, const std::string& dflt) const;
+  const std::map<std::string, std::string>& values() const { return values_; }
 
   /// Integer parameter with inclusive bounds; throws std::invalid_argument
   /// when the value is not an integer or out of [min, max].
@@ -53,11 +58,27 @@ class WorkloadParams {
 using WorkloadRunner = std::function<ResultBase(
     const RunOptions&, const WorkloadParams&, const cluster::SystemConfig&)>;
 
+/// One parameter a runner reads, given on the command line as `--name`.
+struct ParamSpec {
+  std::string name;   ///< e.g. "iterations"
+  std::string value;  ///< usage placeholder, e.g. "K"; empty = boolean flag
+  std::string help;   ///< one line for the usage text
+};
+
 struct WorkloadEntry {
   std::string name;          ///< CLI subcommand, e.g. "jacobi"
   std::string description;   ///< one-liner for the usage text
-  std::string options_help;  ///< workload-specific flags for the usage text
-  WorkloadRunner run;
+  std::vector<ParamSpec> params;  ///< every parameter `runner` reads
+  WorkloadRunner runner;
+
+  /// The declaration of `--key`, or nullptr when this workload has none.
+  const ParamSpec* param(const std::string& key) const;
+  /// Throws std::invalid_argument naming the first parameter in `p` that
+  /// this entry does not declare.
+  void validate(const WorkloadParams& p) const;
+  /// validate(p), then run the workload.
+  ResultBase run(const RunOptions& opts, const WorkloadParams& p,
+                 const cluster::SystemConfig& sys) const;
 };
 
 /// Name -> runner table. Entries keep registration order for usage text.

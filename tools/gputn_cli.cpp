@@ -1,92 +1,56 @@
 // gputn — command-line driver for the simulation experiments.
 //
-//   gputn config     [--loss P]
+//   gputn config     [--loss P] [--seed S] [--shards S]
 //   gputn sweep      [--jobs N] [--stats-json FILE]
 //   gputn report     FILE... [--baseline FILE] [--threshold PCT] [--top N]
 //   gputn analyze    FILE... [--baseline FILE] [--threshold PCT] [--top N]
 //                    [--exemplar ID --trace OUT]
-//   gputn whatif     WORKLOAD [workload options] [--strategies A,B]
-//                    [--knobs K1,K2] [--scales 0.5,2,inf] [--jobs N]
-//                    [--json FILE] [--baseline FILE] [--threshold PCT]
-//                    [--tolerance PCT] [--top N] [--no-curve]
-//   gputn <workload> [workload options]
+//   gputn whatif     WORKLOAD [workload flags] [fabric/fault flags]
+//                    [--strategies A,B] [--knobs K1,K2] [--scales 0.5,2,inf]
+//                    [--jobs N] [--json FILE] [--baseline FILE]
+//                    [--threshold PCT] [--tolerance PCT] [--top N]
+//                    [--no-curve]
+//   gputn WORKLOAD   [workload flags] [fabric/fault flags]
+//                    [--replicas R] [--jobs N] [--shards S]
+//                    [--trace FILE] [--stats-json FILE] [--timeseries FILE]
+//                    [--sample-interval NS] [--flight FILE]
+//                    [--flight-sample P] [--flight-capacity N]
+//                    [--flight-exemplars K]
 //
-// Workloads come from workloads::Registry (microbench, jacobi, allreduce,
-// broadcast); `gputn` with no arguments lists them. Shared options:
-//   --strategy S   driving strategy where the workload takes one
-//   --nodes N      node count where the workload is size-flexible
+// Fabric/fault flags: --nodes N --topology SPEC --routing R --credits N
+// --loss P --seed S. Every command also takes --log-level L.
 //
-// jacobi/allreduce/broadcast additionally accept fault injection:
-//   --loss P   uniform per-packet loss rate on every link (e.g. 0.01);
-//              enables NIC reliable delivery and prints fault/retry stats
-//   --seed S   fault-injection RNG seed (default 1)
+// Each flag is declared once: the driver's in kFlags below (name, value,
+// the commands that take it, a help line), each workload's parameters in
+// its workloads::Registry entry. Parsing, per-command acceptance, the
+// unknown-flag error (exit 2, naming the flag) and the usage text that
+// `gputn` with no arguments prints all read those declarations.
 //
-// Parallel experiments (the exp engine):
-//   --replicas R   run the workload R times with seeds S, S+1, ... as an
-//                  exp::Plan; results are reported in plan order and
-//                  --stats-json becomes the merged per-replica JSON
-//   --jobs N       worker threads for multi-point runs (replicas / sweep);
-//                  0 or absent = hardware concurrency. Output is
-//                  bit-identical for every jobs value.
-// `gputn sweep` runs the built-in fig09+fig10+ablation mini-sweep through
-// the same engine (the plan bench/micro_sweep measures).
+// --seed is the run's one seed: it seeds fault injection and, for serve,
+// the request schedule. --replicas R runs seeds S..S+R-1 as an exp::Plan,
+// so each replica differs in both; results come in seed order and are
+// bit-identical for every --jobs value. --shards splits one run over DES
+// worker threads with bit-identical output. The pairwise run-mode x
+// observer rules are workloads::kFlagRules, printed by `gputn config`.
 //
-// Intra-run parallel DES:
-//   --shards S     partition one run's cluster across S worker threads
-//                  (sim::ShardEngine, conservative lookahead). Every result,
-//                  checksum, stat and flight dump is bit-identical to
-//                  --shards 1. Single-run only: rejected with --replicas,
-//                  --trace and --timeseries.
+// `gputn report` ranks resources by busy fraction from stats/sweep JSON;
+// `gputn analyze` turns a --flight dump into critical-path blame tables
+// and --exemplar ID --trace OUT dumps one op as a Chrome trace; `gputn
+// whatif` re-runs a workload under virtually scaled hardware knobs and
+// ranks them. With --baseline each diffs against an earlier output and
+// exits 1 past --threshold, which makes it usable as a CI gate.
 //
-// Every workload also accepts observability flags:
-//   --trace FILE       write a Chrome-trace (Perfetto) JSON timeline with
-//                      per-message flow arrows (single runs only)
-//   --stats-json FILE  write counters + latency histograms as JSON
-//   --timeseries FILE  sample per-link bytes, NIC queue depths, retransmit
-//                      windows and CU occupancy at a fixed simulated-time
-//                      interval; .csv extension selects CSV, else JSON
-//                      (single runs only, like --trace)
-//   --sample-interval NS  sampling interval in simulated ns (default 1000)
-//   --flight FILE      write the per-op flight recorder dump (stage stamps,
-//                      tail exemplars) as JSON; unlike --trace this composes
-//                      with --replicas: each replica gets its own recorder
-//                      and the dumps are merged in plan order
-//   --flight-sample P      record 1-in-P ops (deterministic hash sampling,
-//                          default 1 = every op); exemplars ignore P
-//   --flight-capacity N    op-ring capacity (default 4096, oldest evicted)
-//   --flight-exemplars K   slowest ops kept per tenant (default 4)
-//   --log-level L      trace|debug|info|warn|error|off (default warn)
-//
-// `gputn analyze` turns a flight dump into a critical-path blame report:
-// per-path (put/get/oneway) category tables at p50/p99/p999, the tail
-// exemplar list, --baseline category-by-category diffing (nonzero exit on
-// regression past --threshold), and --exemplar ID --trace OUT to dump one
-// op as a single-op Chrome trace for Perfetto.
-//
-// `gputn report` turns stats/sweep JSON files into a bottleneck attribution
-// report (resources ranked by busy fraction, queue p99s, saturated links
-// flagged, latency decomposition); with --baseline it prints per-metric
-// deltas and exits nonzero when a gated metric regressed past --threshold
-// (default 5%), which makes it usable as a CI perf gate.
-//
-// `gputn whatif` is the causal what-if profiler: it re-runs the workload
-// under a matrix of virtually-scaled hardware knobs (see `gputn config` for
-// the registry), ranks knobs by measured end-to-end improvement, and
-// cross-validates each measured win against the blame-model and
-// busy-fraction predictions from the baseline run, flagging divergences
-// (queueing nonlinearity, hidden overlap, unattributed host software time).
-// --json writes a deterministic report; --baseline diffs against a previous
-// report and exits nonzero past --threshold, like `gputn report`.
-//
-// Exit code is nonzero on verification failure or bad arguments.
+// Exit code: 0 on success, 1 on a verification failure, regression,
+// runtime or I/O error, 2 on bad arguments.
+#include <cerrno>
 #include <climits>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <map>
+#include <functional>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -109,130 +73,252 @@ using namespace gputn::workloads;
 
 namespace {
 
-[[noreturn]] void usage() {
-  std::fprintf(stderr, "usage: gputn <command> [opts]\n\n  config");
-  std::fprintf(stderr, "%-12s print the simulated system parameters\n", "");
-  std::fprintf(stderr,
-               "  %-18s run the fig09+fig10+ablation mini-sweep in "
-               "parallel\n  %-18s   --jobs <n> --stats-json <file>\n",
-               "sweep", "");
-  std::fprintf(stderr,
-               "  %-18s bottleneck attribution from stats/sweep JSON\n"
-               "  %-18s   <file>... --baseline <file> --threshold <pct> "
-               "--top <n>\n",
-               "report", "");
-  std::fprintf(stderr,
-               "  %-18s critical-path blame tables from a --flight dump\n"
-               "  %-18s   <file>... --baseline <file> --threshold <pct> "
-               "--top <n> --exemplar <id> --trace <out>\n",
-               "analyze", "");
-  std::fprintf(stderr,
-               "  %-18s causal hardware sensitivity profile (counterfactual "
-               "re-runs)\n"
-               "  %-18s   <workload> [workload opts] --strategies <a,b> "
-               "--knobs <k1,k2> --scales <0.5,2,inf> --jobs <n> "
-               "--json <file> --baseline <file> --threshold <pct> "
-               "--tolerance <pct> --top <n> --no-curve\n",
-               "whatif", "");
-  for (const auto& e : Registry::instance().entries()) {
-    std::fprintf(stderr, "  %-18s %s\n", e.name.c_str(),
-                 e.description.c_str());
-    std::fprintf(stderr, "  %-18s   %s\n", "", e.options_help.c_str());
+/// The commands, as bits of Flag::commands. kRun is every registered
+/// workload.
+enum : unsigned {
+  kConfig = 1u << 0,
+  kSweep = 1u << 1,
+  kReport = 1u << 2,
+  kAnalyze = 1u << 3,
+  kWhatif = 1u << 4,
+  kRun = 1u << 5,
+  kAll = (1u << 6) - 1,
+};
+
+struct Command {
+  const char* name;
+  unsigned bit;
+  const char* operands;  ///< positional arguments, for the usage text
+  const char* help;
+};
+
+constexpr Command kCommands[] = {
+    {"config", kConfig, "",
+     "print the system parameters, flag matrix and whatif knobs"},
+    {"sweep", kSweep, "", "run the fig09+fig10+ablation mini-sweep"},
+    {"report", kReport, "FILE...",
+     "bottleneck attribution from stats/sweep JSON"},
+    {"analyze", kAnalyze, "FILE...",
+     "critical-path blame tables from a --flight dump"},
+    {"whatif", kWhatif, "WORKLOAD",
+     "causal hardware sensitivity profile (counterfactual re-runs)"},
+};
+
+/// One driver flag. Workload parameters are declared in the Registry.
+struct Flag {
+  const char* name;
+  const char* value;  ///< usage placeholder; nullptr = boolean flag
+  unsigned commands;  ///< the commands that take it
+  const char* help;
+};
+
+constexpr Flag kFlags[] = {
+    {"nodes", "N", kRun | kWhatif,
+     "node count, where the workload is size-flexible"},
+    {"topology", "SPEC", kRun | kWhatif,
+     "star|fat-tree:k=8|torus:4x4x4|dragonfly:a=4,h=2,p=2"},
+    {"routing", "R", kRun | kWhatif, "deterministic|adaptive"},
+    {"credits", "N", kRun | kWhatif,
+     "switch output-port credits (0 = unlimited)"},
+    {"loss", "P", kConfig | kRun | kWhatif,
+     "per-packet loss rate on every link; enables reliable delivery"},
+    {"seed", "S", kConfig | kRun | kWhatif,
+     "the run's seed: fault injection and serve's request schedule "
+     "(default 1)"},
+    {"replicas", "R", kRun, "run seeds S..S+R-1 on the parallel engine"},
+    {"jobs", "N", kRun | kSweep | kWhatif,
+     "worker threads for multi-point runs (default: one per core)"},
+    {"shards", "S", kConfig | kRun,
+     "split one run over S DES worker threads, bit-identical output"},
+    {"trace", "FILE", kRun | kAnalyze,
+     "Chrome-trace JSON of the run (analyze: of the --exemplar op)"},
+    {"stats-json", "FILE", kRun | kSweep,
+     "counters and latency histograms as JSON"},
+    {"timeseries", "FILE", kRun,
+     "sampled link/NIC/CU series; .csv selects CSV, else JSON"},
+    {"sample-interval", "NS", kRun,
+     "--timeseries interval in simulated ns (default 1000)"},
+    {"flight", "FILE", kRun, "per-op flight recorder dump for analyze"},
+    {"flight-sample", "P", kRun, "record 1 in P ops (default 1)"},
+    {"flight-capacity", "N", kRun, "op-ring capacity (default 4096)"},
+    {"flight-exemplars", "K", kRun,
+     "slowest ops kept per tenant (default 4)"},
+    {"log-level", "L", kAll, "trace|debug|info|warn|error|off (default warn)"},
+    {"baseline", "FILE", kReport | kAnalyze | kWhatif,
+     "diff against an earlier output; exit 1 on a regression"},
+    {"threshold", "PCT", kReport | kAnalyze | kWhatif,
+     "regression threshold (default 5; analyze 10)"},
+    {"top", "N", kReport | kAnalyze | kWhatif,
+     "rows shown per table (default 0 = all)"},
+    {"exemplar", "ID", kAnalyze, "op id to dump with --trace"},
+    {"strategies", "A,B", kWhatif, "strategies (default CPU,GPU-TN)"},
+    {"knobs", "K1,K2", kWhatif, "knob subset (default all, see config)"},
+    {"scales", "X,Y", kWhatif, "knob speed factors (default 0.5,2,inf)"},
+    {"tolerance", "PCT", kWhatif,
+     "measured-vs-predicted divergence band (default 2)"},
+    {"json", "FILE", kWhatif, "write the report as JSON"},
+    {"no-curve", nullptr, kWhatif, "skip the virtual-speedup curve"},
+};
+
+const Command* find_command(const std::string& name) {
+  for (const Command& c : kCommands) {
+    if (name == c.name) return &c;
   }
-  std::fprintf(
-      stderr,
-      "\n  fabric (any workload): --topology "
-      "star|fat-tree:k=8|torus:4x4x4|dragonfly:a=4,h=2,p=2 "
-      "--routing deterministic|adaptive --credits <n per switch port>\n"
-      "  fault injection (jacobi/allreduce/broadcast): --loss <rate> "
-      "--seed <s>\n"
-      "  replication (any workload): --replicas <r> --jobs <n>\n"
-      "  parallel DES (any workload): --shards <s> worker threads inside "
-      "one run, bit-identical output; excludes "
-      "--replicas/--trace/--timeseries\n"
-      "  observability (any workload): --trace <file> --stats-json <file> "
-      "--timeseries <file> --sample-interval <ns> "
-      "--flight <file> --flight-sample <p> --flight-capacity <n> "
-      "--flight-exemplars <k> "
-      "--log-level trace|debug|info|warn|error|off\n");
+  return nullptr;
+}
+
+const Flag* find_flag(const std::string& name) {
+  for (const Flag& f : kFlags) {
+    if (name == f.name) return &f;
+  }
+  return nullptr;
+}
+
+/// "--name VALUE" for the usage text.
+std::string synopsis(const std::string& name, const std::string& value) {
+  return "--" + name + (value.empty() ? "" : " " + value);
+}
+
+[[noreturn]] void usage() {
+  std::string u = "usage: gputn <command> [operands] [flags]\n\ncommands:\n";
+  auto line = [&u](const std::string& left, const std::string& help) {
+    char buf[512];
+    std::snprintf(buf, sizeof(buf), "  %-26s %s\n", left.c_str(),
+                  help.c_str());
+    u += buf;
+  };
+  for (const Command& c : kCommands) {
+    line(std::string(c.name) + " " + c.operands, c.help);
+  }
+  for (const WorkloadEntry& e : Registry::instance().entries()) {
+    line(e.name, e.description);
+    for (const ParamSpec& p : e.params) {
+      line("  " + synopsis(p.name, p.value), p.help);
+    }
+  }
+  u += "\nflags [the commands that take them; run = any workload]:\n";
+  for (const Flag& f : kFlags) {
+    std::string where;
+    for (const Command& c : kCommands) {
+      if (f.commands & c.bit) where += std::string(",") + c.name;
+    }
+    if (f.commands & kRun) where += ",run";
+    line(synopsis(f.name, f.value != nullptr ? f.value : ""),
+         std::string(f.help) + " [" +
+             (f.commands == kAll ? "all" : where.substr(1)) + "]");
+  }
+  std::fputs(u.c_str(), stderr);
   std::exit(2);
 }
 
-/// Tiny flag parser: --key value and boolean --key.
-class Args {
- public:
-  Args(int argc, char** argv, int first) {
-    for (int i = first; i < argc; ++i) {
-      std::string key = argv[i];
-      if (key.rfind("--", 0) != 0) usage();
-      key = key.substr(2);
-      if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
-        values_[key] = argv[++i];
-      } else {
-        values_[key] = "";
-      }
-    }
-  }
-  bool has(const std::string& k) const { return values_.count(k) > 0; }
-  std::string get(const std::string& k, const std::string& dflt) const {
-    auto it = values_.find(k);
-    return it != values_.end() && !it->second.empty() ? it->second : dflt;
-  }
-  const std::map<std::string, std::string>& all() const { return values_; }
+/// A parsed command line: driver flags, the workload's declared
+/// parameters, and positional operands.
+struct Args {
+  WorkloadParams flags;
+  WorkloadParams params;
+  std::vector<std::string> operands;
 
- private:
-  std::map<std::string, std::string> values_;
+  bool has(const std::string& k) const { return flags.has(k); }
+  std::string get(const std::string& k) const { return flags.get(k, ""); }
+  /// Validated numeric flag; `dflt` when absent (unchecked).
+  long get_int(const std::string& k, long dflt, long min, long max) const {
+    return has(k) ? flags.get_int(k, dflt, min, max) : dflt;
+  }
+  double get_double(const std::string& k, double dflt, double min,
+                    double max) const {
+    return has(k) ? flags.get_double(k, dflt, min, max) : dflt;
+  }
 };
+
+/// Parse argv[first..] for command `cmd`: the kFlags entries that take
+/// `bit`, the parameters `entry` declares (nullptr: none) and, when
+/// `operands` is set, positional arguments. Throws std::invalid_argument
+/// naming the first argument the declarations do not allow.
+Args parse_args(int argc, char** argv, int first, const std::string& cmd,
+                unsigned bit, const WorkloadEntry* entry, bool operands) {
+  Args a;
+  for (int i = first; i < argc; ++i) {
+    std::string arg = argv[i];
+    if (arg.rfind("--", 0) != 0) {
+      if (!operands) {
+        throw std::invalid_argument(cmd + " takes no argument '" + arg + "'");
+      }
+      a.operands.push_back(arg);
+      continue;
+    }
+    std::string key = arg.substr(2);
+    const Flag* f = find_flag(key);
+    const ParamSpec* p = entry != nullptr ? entry->param(key) : nullptr;
+    WorkloadParams* into = nullptr;
+    bool takes_value = false;
+    if (f != nullptr && (f->commands & bit) != 0) {
+      into = &a.flags;
+      takes_value = f->value != nullptr;
+    } else if (p != nullptr) {
+      into = &a.params;
+      takes_value = !p->value.empty();
+    } else if (f != nullptr) {
+      throw std::invalid_argument(arg + " does not apply to " + cmd);
+    } else {
+      throw std::invalid_argument("unknown flag " + arg + " for " + cmd);
+    }
+    std::string value;
+    if (takes_value) {
+      if (i + 1 >= argc || std::string(argv[i + 1]).rfind("--", 0) == 0) {
+        throw std::invalid_argument(arg + " needs a value");
+      }
+      value = argv[++i];
+    }
+    into->set(key, value);
+  }
+  return a;
+}
 
 void apply_log_level(const Args& args) {
   if (!args.has("log-level")) return;
-  std::string l = args.get("log-level", "warn");
-  if (l == "trace") {
-    sim::LogConfig::set_level(sim::LogLevel::kTrace);
-  } else if (l == "debug") {
-    sim::LogConfig::set_level(sim::LogLevel::kDebug);
-  } else if (l == "info") {
-    sim::LogConfig::set_level(sim::LogLevel::kInfo);
-  } else if (l == "warn") {
-    sim::LogConfig::set_level(sim::LogLevel::kWarn);
-  } else if (l == "error") {
-    sim::LogConfig::set_level(sim::LogLevel::kError);
-  } else if (l == "off") {
-    sim::LogConfig::set_level(sim::LogLevel::kOff);
-  } else {
-    std::fprintf(stderr, "unknown log level '%s'\n", l.c_str());
-    std::exit(2);
+  // In sim::LogLevel order.
+  const char* kLevels[] = {"trace", "debug", "info", "warn", "error", "off"};
+  const std::string l = args.get("log-level");
+  for (int i = 0; i < 6; ++i) {
+    if (l == kLevels[i]) {
+      sim::LogConfig::set_level(static_cast<sim::LogLevel>(i));
+      return;
+    }
   }
+  throw std::invalid_argument("unknown log level '" + l + "'");
 }
 
-/// The RunOptions fields and driver-level flags everything shares; the rest
-/// of the command line becomes the workload's WorkloadParams.
-bool is_driver_key(const std::string& k) {
-  return k == "nodes" || k == "trace" || k == "stats-json" ||
-         k == "timeseries" || k == "sample-interval" || k == "log-level" ||
-         k == "loss" || k == "seed" || k == "jobs" || k == "replicas" ||
-         k == "shards" ||
-         k == "flight" || k == "flight-sample" || k == "flight-capacity" ||
-         k == "flight-exemplars" || k == "topology" || k == "routing" ||
-         k == "credits";
+int jobs_flag(const Args& args) {
+  return static_cast<int>(args.get_int("jobs", 0, 0, 4096));
 }
 
-/// Validated value of a numeric driver flag (shared Args -> long plumbing).
-long driver_int(const Args& args, const std::string& key, long dflt, long min,
-                long max) {
-  if (!args.has(key)) return dflt;
-  WorkloadParams p;
-  p.set(key, args.get(key, ""));
-  return p.get_int(key, dflt, min, max);
-}
+/// What the fabric and fault flags set up (--nodes --topology --routing
+/// --credits --loss --seed), shared by workload runs, whatif and config.
+struct RunSetup {
+  RunOptions opts;
+  double loss = 0.0;
+  long seed = 1;
 
-/// Same, floating point (whatif's --tolerance / --threshold).
-double driver_double(const Args& args, const std::string& key, double dflt,
-                     double min, double max) {
-  if (!args.has(key)) return dflt;
-  WorkloadParams p;
-  p.set(key, args.get(key, ""));
-  return p.get_double(key, dflt, min, max);
+  /// Table 2 with this run's fault injection, seeded with `s`.
+  cluster::SystemConfig system(long s) const {
+    return cluster::SystemConfig::table2_with_loss(
+        loss, static_cast<std::uint64_t>(s));
+  }
+};
+
+RunSetup run_setup(const Args& args) {
+  RunSetup r;
+  // nodes stays 0 (= workload default) without --nodes. Empty topology /
+  // routing and credits -1 keep the Table 2 fabric (star, deterministic,
+  // unlimited); spec strings are validated when the fabric is finalized.
+  r.opts.nodes = static_cast<int>(args.get_int("nodes", 0, 2, 1 << 16));
+  r.opts.topology = args.get("topology");
+  r.opts.routing = args.get("routing");
+  r.opts.credits =
+      static_cast<int>(args.get_int("credits", -1, -1, 1 << 20));
+  r.loss = args.get_double("loss", 0.0, 0.0, 1.0);
+  r.seed = args.get_int("seed", 1, 0, LONG_MAX - (1 << 20));
+  return r;
 }
 
 /// The --flight-* knobs as a recorder config (shared by single runs and the
@@ -241,32 +327,50 @@ double driver_double(const Args& args, const std::string& key, double dflt,
 obs::FlightConfig flight_config(const Args& args, long seed) {
   obs::FlightConfig cfg;
   cfg.sample_period = static_cast<std::uint64_t>(
-      driver_int(args, "flight-sample", 1, 1, 1L << 30));
-  cfg.capacity =
-      static_cast<std::size_t>(driver_int(args, "flight-capacity", 4096, 1,
-                                          1 << 24));
+      args.get_int("flight-sample", 1, 1, 1L << 30));
+  cfg.capacity = static_cast<std::size_t>(
+      args.get_int("flight-capacity", 4096, 1, 1 << 24));
   cfg.exemplars_per_tenant = static_cast<std::size_t>(
-      driver_int(args, "flight-exemplars", 4, 0, 4096));
+      args.get_int("flight-exemplars", 4, 0, 4096));
   cfg.seed = static_cast<std::uint64_t>(seed);
   return cfg;
 }
 
+/// Write one artifact through `fill`, flushed and checked: bytes that fail
+/// at close time (disk full, dead mount) must surface here, not in a
+/// destructor nobody checks. Prints "  <label>: <path><note>", or reports
+/// the failure on stderr and returns 1: an unwritable artifact must fail
+/// the run, not silently vanish (these files gate CI).
+int write_artifact(const std::string& path, const char* label,
+                   const char* what,
+                   const std::function<void(std::ostream&)>& fill,
+                   const std::string& note = "") {
+  std::ofstream out(path);
+  if (out) {
+    fill(out);
+    out << std::flush;
+  }
+  if (!out.good()) {
+    std::fprintf(stderr, "gputn: cannot write %s to '%s'\n", what,
+                 path.c_str());
+    return 1;
+  }
+  std::printf("  %s: %s%s\n", label, path.c_str(), note.c_str());
+  return 0;
+}
+
 /// --trace / --stats-json / --timeseries / --flight handling shared by every
 /// workload subcommand. Owns the TraceRecorder, TimeSeries and
-/// FlightRecorder for the run and writes the artifacts at the end. Every
-/// write reports I/O failures to stderr and makes finish() return nonzero:
-/// an unwritable artifact must fail the run, not silently vanish (these
-/// files gate CI).
+/// FlightRecorder for the run and writes the artifacts at the end.
 class ObservabilityFlags {
  public:
   explicit ObservabilityFlags(const Args& args, long seed)
-      : trace_path_(args.get("trace", "")),
-        stats_path_(args.get("stats-json", "")),
-        ts_path_(args.get("timeseries", "")),
-        flight_path_(args.get("flight", "")) {
+      : trace_path_(args.get("trace")),
+        stats_path_(args.get("stats-json")),
+        ts_path_(args.get("timeseries")),
+        flight_path_(args.get("flight")) {
     if (!ts_path_.empty()) {
-      long interval_ns =
-          driver_int(args, "sample-interval", 1000, 1, 1L << 40);
+      long interval_ns = args.get_int("sample-interval", 1000, 1, 1L << 40);
       ts_ = std::make_unique<obs::TimeSeries>(sim::ns(interval_ns));
     }
     if (!flight_path_.empty()) {
@@ -288,66 +392,40 @@ class ObservabilityFlags {
   int finish(const ResultBase& res) {
     int rc = 0;
     if (!trace_path_.empty()) {
-      if (recorder_.write_json(trace_path_)) {
-        std::printf("  trace: %s (%zu events)\n", trace_path_.c_str(),
-                    recorder_.event_count());
-      } else {
-        std::fprintf(stderr, "gputn: cannot write trace to '%s'\n",
-                     trace_path_.c_str());
-        rc = 1;
-      }
+      rc |= write_artifact(
+          trace_path_, "trace", "trace",
+          [&](std::ostream& o) { recorder_.write_json(o); },
+          " (" + std::to_string(recorder_.event_count()) + " events)");
     }
     if (!stats_path_.empty()) {
-      // Flush before checking: buffered bytes that fail at close time (disk
-      // full, dead mount) must surface here, not in a destructor nobody
-      // checks.
-      std::ofstream out(stats_path_);
-      if (out) out << res.stats_json() << "\n" << std::flush;
-      if (out.good()) {
-        std::printf("  stats: %s\n", stats_path_.c_str());
-      } else {
-        std::fprintf(stderr, "gputn: cannot write stats to '%s'\n",
-                     stats_path_.c_str());
-        rc = 1;
-      }
+      rc |= write_artifact(stats_path_, "stats", "stats",
+                           [&](std::ostream& o) {
+                             o << res.stats_json() << "\n";
+                           });
     }
     if (ts_ != nullptr) {
-      std::ofstream out(ts_path_);
-      if (out) {
-        bool csv = ts_path_.size() >= 4 &&
-                   ts_path_.compare(ts_path_.size() - 4, 4, ".csv") == 0;
-        if (csv) {
-          ts_->write_csv(out);
-        } else {
-          ts_->write_json(out);
-        }
-        out << std::flush;
-      }
-      if (out.good()) {
-        std::printf("  timeseries: %s (%zu samples)\n", ts_path_.c_str(),
-                    ts_->rows());
-      } else {
-        std::fprintf(stderr, "gputn: cannot write timeseries to '%s'\n",
-                     ts_path_.c_str());
-        rc = 1;
-      }
+      bool csv = ts_path_.size() >= 4 &&
+                 ts_path_.compare(ts_path_.size() - 4, 4, ".csv") == 0;
+      rc |= write_artifact(
+          ts_path_, "timeseries", "timeseries",
+          [&](std::ostream& o) {
+            if (csv) {
+              ts_->write_csv(o);
+            } else {
+              ts_->write_json(o);
+            }
+          },
+          " (" + std::to_string(ts_->rows()) + " samples)");
     }
     if (flight_ != nullptr) {
       flight_->set_run_info(res.label, !res.mode.empty()
                                            ? res.mode
                                            : strategy_name(res.strategy));
-      std::ofstream out(flight_path_);
-      if (out) out << flight_->json() << "\n" << std::flush;
-      if (out.good()) {
-        std::printf("  flight: %s (%llu ops offered, %llu recorded)\n",
-                    flight_path_.c_str(),
-                    static_cast<unsigned long long>(flight_->offered()),
-                    static_cast<unsigned long long>(flight_->recorded()));
-      } else {
-        std::fprintf(stderr, "gputn: cannot write flight dump to '%s'\n",
-                     flight_path_.c_str());
-        rc = 1;
-      }
+      rc |= write_artifact(
+          flight_path_, "flight", "flight dump",
+          [&](std::ostream& o) { o << flight_->json() << "\n"; },
+          " (" + std::to_string(flight_->offered()) + " ops offered, " +
+              std::to_string(flight_->recorded()) + " recorded)");
     }
     return rc;
   }
@@ -364,16 +442,12 @@ class ObservabilityFlags {
 
 /// Write a merged sweep JSON when --stats-json was given; 0 or 1 (I/O).
 int write_sweep_json(const Args& args, const gputn::exp::RunSummary& summary) {
-  std::string path = args.get("stats-json", "");
+  const std::string path = args.get("stats-json");
   if (path.empty()) return 0;
-  std::ofstream out(path);
-  if (out) out << gputn::exp::results_json(summary) << "\n" << std::flush;
-  if (!out.good()) {
-    std::fprintf(stderr, "gputn: cannot write stats to '%s'\n", path.c_str());
-    return 1;
-  }
-  std::printf("  stats: %s\n", path.c_str());
-  return 0;
+  return write_artifact(path, "stats", "stats",
+                        [&](std::ostream& o) {
+                          o << gputn::exp::results_json(summary) << "\n";
+                        });
 }
 
 /// Report a completed multi-point run in plan order; returns the exit code.
@@ -400,19 +474,18 @@ int report_sweep(const gputn::exp::RunSummary& summary, int jobs) {
 /// per-point recorders are what lets --flight compose with --jobs and stay
 /// bit-identical — no replica ever shares recorder state with another.
 gputn::exp::Plan replica_plan(
-    const WorkloadEntry& entry, RunOptions opts, const WorkloadParams& params,
-    double loss, long seed, long replicas,
+    const WorkloadEntry& entry, const RunSetup& setup,
+    const WorkloadParams& params, long replicas,
     const std::vector<std::unique_ptr<obs::FlightRecorder>>& flights) {
   gputn::exp::Plan plan;
+  RunOptions opts = setup.opts;
   for (long r = 0; r < replicas; ++r) {
-    long s = seed + r;
+    long s = setup.seed + r;
     opts.flight = flights.empty() ? nullptr
                                   : flights[static_cast<std::size_t>(r)].get();
     plan.add_workload(Registry::instance(),
                       entry.name + "/seed" + std::to_string(s), entry.name,
-                      opts, params,
-                      cluster::SystemConfig::table2_with_loss(
-                          loss, static_cast<std::uint64_t>(s)));
+                      opts, params, setup.system(s));
   }
   return plan;
 }
@@ -434,44 +507,19 @@ int write_merged_flight(
     }
     points.emplace_back(r.id, flights[i].get());
   }
-  std::string path = args.get("flight", "");
-  std::ofstream out(path);
-  if (out) out << obs::merged_flight_json(std::move(points)) << "\n"
-               << std::flush;
-  if (!out.good()) {
-    std::fprintf(stderr, "gputn: cannot write flight dump to '%s'\n",
-                 path.c_str());
-    return 1;
-  }
-  std::printf("  flight: %s (%zu points)\n", path.c_str(), flights.size());
-  return 0;
+  return write_artifact(
+      args.get("flight"), "flight", "flight dump",
+      [&](std::ostream& o) {
+        o << obs::merged_flight_json(std::move(points)) << "\n";
+      },
+      " (" + std::to_string(flights.size()) + " points)");
 }
 
 int run_workload(const WorkloadEntry& entry, const Args& args) {
-  WorkloadParams params;
-  for (const auto& [k, v] : args.all()) {
-    if (!is_driver_key(k)) params.set(k, v);
-  }
-
-  RunOptions opts;  // nodes stays 0 (= workload default) without --nodes
-  opts.nodes = static_cast<int>(driver_int(args, "nodes", 0, 2, 1 << 16));
-  // Fabric selection; empty / -1 keep the Table 2 defaults (star,
-  // deterministic routing, unlimited credits). Spec strings are validated
-  // by the topology/router factories when the fabric is finalized.
-  opts.topology = args.get("topology", "");
-  opts.routing = args.get("routing", "");
-  opts.credits = static_cast<int>(driver_int(args, "credits", -1, -1, 1 << 20));
-
-  // Table 2, plus --loss/--seed fault injection when requested. Validated
-  // through WorkloadParams so `--loss lots` is a usage error, not 0.0.
-  WorkloadParams fault;
-  if (args.has("loss")) fault.set("loss", args.get("loss", ""));
-  double loss = fault.get_double("loss", 0.0, 0.0, 1.0);
-  long seed = driver_int(args, "seed", 1, 0, LONG_MAX - (1 << 20));
-
-  long replicas = driver_int(args, "replicas", 1, 1, 1 << 20);
-  int jobs = static_cast<int>(driver_int(args, "jobs", 0, 0, 4096));
-  int shards = static_cast<int>(driver_int(args, "shards", 1, 1, 4096));
+  RunSetup setup = run_setup(args);
+  long replicas = args.get_int("replicas", 1, 1, 1 << 20);
+  int jobs = jobs_flag(args);
+  int shards = static_cast<int>(args.get_int("shards", 1, 1, 4096));
   // Pairwise multi-run / observer flag rules come from the one shared table
   // (workloads::kFlagRules — also printed by `gputn config`), so the driver
   // cannot drift from make_config's own rejections.
@@ -482,8 +530,7 @@ int run_workload(const WorkloadEntry& entry, const Args& args) {
   active.timeseries = args.has("timeseries");
   active.flight = args.has("flight");
   if (std::string conflict = flag_conflict(active); !conflict.empty()) {
-    std::fprintf(stderr, "gputn: %s\n", conflict.c_str());
-    return 2;
+    throw std::invalid_argument(conflict);
   }
   if (replicas > 1) {
     // Seed-replicated run through the parallel engine. Each replica is an
@@ -493,12 +540,12 @@ int run_workload(const WorkloadEntry& entry, const Args& args) {
     if (args.has("flight")) {
       for (long r = 0; r < replicas; ++r) {
         flights.push_back(std::make_unique<obs::FlightRecorder>(
-            flight_config(args, seed + r)));
+            flight_config(args, setup.seed + r)));
       }
     }
     gputn::exp::Runner runner(jobs);
     gputn::exp::RunSummary summary = runner.run(
-        replica_plan(entry, opts, params, loss, seed, replicas, flights));
+        replica_plan(entry, setup, args.params, replicas, flights));
     int rc = report_sweep(summary, runner.jobs());
     int io_rc = write_sweep_json(args, summary);
     int fl_rc = write_merged_flight(args, summary, flights);
@@ -506,29 +553,44 @@ int run_workload(const WorkloadEntry& entry, const Args& args) {
     return io_rc != 0 ? io_rc : fl_rc;
   }
 
-  ObservabilityFlags obs(args, seed);
+  ObservabilityFlags obs(args, setup.seed);
+  RunOptions opts = setup.opts;
   opts.trace = obs.trace();
   opts.timeseries = obs.timeseries();
   opts.flight = obs.flight();
-  opts.shards = shards;  // --trace/--timeseries conflicts rejected downstream
-  cluster::SystemConfig sys = cluster::SystemConfig::table2_with_loss(
-      loss, static_cast<std::uint64_t>(seed));
-
-  ResultBase res = entry.run(opts, params, sys);
+  opts.shards = shards;
+  ResultBase res = entry.run(opts, args.params, setup.system(setup.seed));
   int obs_rc = obs.finish(res);
   return res.correct ? obs_rc : 1;
 }
 
+/// `gputn config`: the system a run with these flags would simulate.
+int run_config(const Args& args) {
+  RunSetup setup = run_setup(args);
+  cluster::SystemConfig sys = setup.system(setup.seed);
+  std::printf("%s", sys.describe().c_str());
+  // The DES engine a run with these parameters would use: --shards
+  // workers with the conservative lookahead the fabric derives (the
+  // minimum cross-shard wire propagation = link latency on every
+  // built-in topology).
+  long shards = args.get_int("shards", 1, 1, 4096);
+  std::printf("Engine:   %ld shard%s (%s DES), lookahead %.0f ns "
+              "(min cross-shard wire latency)\n",
+              shards, shards == 1 ? "" : "s",
+              shards == 1 ? "sequential" : "conservative parallel",
+              sim::to_ns(sys.fabric.link_latency));
+  std::printf("\n%s", flag_matrix().c_str());
+  std::printf("\nWhatif knobs (gputn whatif --knobs ...):\n");
+  for (const obs::Knob& k : obs::knob_registry()) {
+    std::printf("  %-15s %-9s %s\n", k.name.c_str(), k.kind.c_str(),
+                k.description.c_str());
+  }
+  return 0;
+}
+
 /// `gputn sweep`: the built-in mini-sweep on the parallel engine.
 int run_sweep(const Args& args) {
-  if (args.has("trace") || args.has("timeseries") || args.has("shards")) {
-    std::fprintf(stderr,
-                 "gputn: --trace/--timeseries/--shards are single-run only; "
-                 "the sweep runs its points in parallel\n");
-    return 2;
-  }
-  int jobs = static_cast<int>(driver_int(args, "jobs", 0, 0, 4096));
-  gputn::exp::Runner runner(jobs);
+  gputn::exp::Runner runner(jobs_flag(args));
   gputn::exp::RunSummary summary = runner.run(gputn::exp::mini_sweep_plan());
   int rc = report_sweep(summary, runner.jobs());
   int io_rc = write_sweep_json(args, summary);
@@ -543,130 +605,87 @@ std::string slurp(const std::string& path) {
   return ss.str();
 }
 
-/// `gputn report FILE... [--baseline FILE] [--threshold PCT] [--top N]`.
-/// Parsed by hand: report takes positional file arguments, which the
-/// --key-only Args parser rejects.
-int run_report(int argc, char** argv) {
-  obs::ReportOptions opt;
-  std::vector<std::string> files;
-  std::string baseline;
-  for (int i = 2; i < argc; ++i) {
-    std::string a = argv[i];
-    auto value = [&]() -> const char* {
-      if (i + 1 >= argc) usage();
-      return argv[++i];
-    };
-    if (a == "--baseline") {
-      baseline = value();
-    } else if (a == "--threshold") {
-      char* end = nullptr;
-      opt.threshold_pct = std::strtod(value(), &end);
-      if (end == nullptr || *end != '\0' || opt.threshold_pct < 0.0) usage();
-    } else if (a == "--top") {
-      char* end = nullptr;
-      long n = std::strtol(value(), &end, 10);
-      if (end == nullptr || *end != '\0' || n < 0) usage();
-      opt.top = static_cast<int>(n);
-    } else if (a.rfind("--", 0) == 0) {
-      usage();
-    } else {
-      files.push_back(a);
-    }
+/// --threshold and --top into report, analyze or whatif options.
+template <typename Opt>
+void read_gate(const Args& args, Opt& opt) {
+  opt.threshold_pct = args.get_double("threshold", opt.threshold_pct, 0.0,
+                                      1e6);
+  opt.top = static_cast<int>(args.get_int("top", opt.top, 0, 1 << 20));
+}
+
+/// The front end report and analyze share: each FILE is loaded, rendered
+/// and, with --baseline, diffed against the baseline; `each` then does any
+/// per-file extra (nonzero = failure). Returns 1 when a diff regressed or
+/// `each` failed, else 0. Unreadable or malformed input throws.
+template <typename Opt, typename Load, typename Render, typename Diff,
+          typename Each>
+int render_files(const Args& args, Opt opt, Load load, Render render,
+                 Diff diff, Each each) {
+  if (args.operands.empty()) {
+    throw std::invalid_argument("expected at least one FILE");
   }
-  if (files.empty()) usage();
-  obs::Report base;
-  if (!baseline.empty()) {
-    base = obs::parse_report(slurp(baseline), baseline);
-  }
+  read_gate(args, opt);
+  std::string baseline = args.get("baseline");
+  decltype(load(std::string(), std::string())) base;
+  if (!baseline.empty()) base = load(slurp(baseline), baseline);
   int rc = 0;
-  for (const std::string& f : files) {
-    obs::Report rep = obs::parse_report(slurp(f), f);
-    std::fputs(obs::render_report(rep, opt).c_str(), stdout);
+  for (const std::string& f : args.operands) {
+    auto doc = load(slurp(f), f);
+    std::fputs(render(doc, opt).c_str(), stdout);
     if (!baseline.empty()) {
-      obs::Diff d = obs::diff_reports(rep, base, opt);
+      auto d = diff(doc, base, opt);
       std::fputs(d.text.c_str(), stdout);
       if (d.regressions > 0) rc = 1;
     }
+    if (each(doc, f) != 0) rc = 1;
   }
   return rc;
 }
 
-/// `gputn analyze FILE... [--baseline FILE] [--threshold PCT] [--top N]
-///  [--exemplar ID --trace OUT]`. Hand-parsed for the same reason as
-/// `report`: positional file arguments.
-int run_analyze(int argc, char** argv) {
-  obs::AnalyzeOptions opt;
-  std::vector<std::string> files;
-  std::string baseline;
-  std::string trace_out;
-  bool want_exemplar = false;
-  std::uint64_t exemplar = 0;
-  for (int i = 2; i < argc; ++i) {
-    std::string a = argv[i];
-    auto value = [&]() -> const char* {
-      if (i + 1 >= argc) usage();
-      return argv[++i];
-    };
-    if (a == "--baseline") {
-      baseline = value();
-    } else if (a == "--threshold") {
-      char* end = nullptr;
-      opt.threshold_pct = std::strtod(value(), &end);
-      if (end == nullptr || *end != '\0' || opt.threshold_pct < 0.0) usage();
-    } else if (a == "--top") {
-      char* end = nullptr;
-      long n = std::strtol(value(), &end, 10);
-      if (end == nullptr || *end != '\0' || n < 0) usage();
-      opt.top = static_cast<int>(n);
-    } else if (a == "--exemplar") {
-      char* end = nullptr;
-      exemplar = std::strtoull(value(), &end, 10);
-      if (end == nullptr || *end != '\0') usage();
-      want_exemplar = true;
-    } else if (a == "--trace") {
-      trace_out = value();
-    } else if (a.rfind("--", 0) == 0) {
-      usage();
-    } else {
-      files.push_back(a);
-    }
+/// `gputn report FILE...`: stats/sweep JSON -> bottleneck attribution.
+int run_report(const Args& args) {
+  return render_files(args, obs::ReportOptions{}, obs::parse_report,
+                      obs::render_report, obs::diff_reports,
+                      [](const obs::Report&, const std::string&) { return 0; });
+}
+
+/// `gputn analyze FILE...`: flight dumps -> critical-path blame tables,
+/// plus --exemplar ID --trace OUT to dump one op as a Chrome trace.
+int run_analyze(const Args& args) {
+  const bool want_exemplar = args.has("exemplar");
+  const std::string trace_out = args.get("trace");
+  if (want_exemplar == trace_out.empty()) {
+    throw std::invalid_argument("--exemplar and --trace go together");
   }
-  if (files.empty() || (want_exemplar != !trace_out.empty())) usage();
-  obs::Analysis base;
-  if (!baseline.empty()) {
-    base = obs::analyze_flight(slurp(baseline), baseline);
+  // Op ids use all 64 bits (tenant ops set the top one), so not get_int.
+  const std::string id = args.get("exemplar");
+  char* end = nullptr;
+  errno = 0;
+  const std::uint64_t exemplar = std::strtoull(id.c_str(), &end, 10);
+  if (want_exemplar && (id.empty() || id[0] == '-' || *end != '\0' ||
+                        errno == ERANGE)) {
+    throw std::invalid_argument("--exemplar: expected an op id, got '" + id +
+                                "'");
   }
-  int rc = 0;
-  for (const std::string& f : files) {
-    obs::Analysis a = obs::analyze_flight(slurp(f), f);
-    std::fputs(obs::render_analysis(a, opt).c_str(), stdout);
-    if (!baseline.empty()) {
-      obs::AnalyzeDiff d = obs::diff_analyses(a, base, opt);
-      std::fputs(d.text.c_str(), stdout);
-      if (d.regressions > 0) rc = 1;
-    }
-    if (want_exemplar) {
-      bool dumped = false;
-      for (const obs::AnalyzedRun& run : a.runs) {
-        if (obs::dump_exemplar_trace(run, exemplar, trace_out)) {
-          std::printf("  exemplar %llu: %s\n",
-                      static_cast<unsigned long long>(exemplar),
-                      trace_out.c_str());
-          dumped = true;
-          break;
+  return render_files(
+      args, obs::AnalyzeOptions{}, obs::analyze_flight, obs::render_analysis,
+      obs::diff_analyses, [&](const obs::Analysis& a, const std::string& f) {
+        if (!want_exemplar) return 0;
+        for (const obs::AnalyzedRun& run : a.runs) {
+          if (obs::dump_exemplar_trace(run, exemplar, trace_out)) {
+            std::printf("  exemplar %llu: %s\n",
+                        static_cast<unsigned long long>(exemplar),
+                        trace_out.c_str());
+            return 0;
+          }
         }
-      }
-      if (!dumped) {
         std::fprintf(stderr,
                      "gputn: no op with id %llu in '%s' (or '%s' is not "
                      "writable)\n",
                      static_cast<unsigned long long>(exemplar), f.c_str(),
                      trace_out.c_str());
-        rc = 1;
-      }
-    }
-  }
-  return rc;
+        return 1;
+      });
 }
 
 /// Comma-split a list flag value ("a,b,c" -> {"a","b","c"}, empties
@@ -684,110 +703,62 @@ std::vector<std::string> split_csv(const std::string& s) {
 }
 
 /// `gputn whatif WORKLOAD [...]`: the causal what-if profiler.
-int run_whatif_cmd(int argc, char** argv) {
-  if (argc < 3 || std::strncmp(argv[2], "--", 2) == 0) usage();
-  std::string workload = argv[2];
-  Args args(argc, argv, 3);
-  apply_log_level(args);
-
-  // The profiler owns its own plan, recorders and parallelism; the
-  // single-run observer and multi-run flags do not compose with it.
-  static const char* kRejected[] = {
-      "trace",           "timeseries",      "flight",        "shards",
-      "replicas",        "stats-json",      "flight-sample",
-      "flight-capacity", "flight-exemplars", "sample-interval"};
-  for (const char* k : kRejected) {
-    if (args.has(k)) {
-      std::fprintf(stderr,
-                   "gputn: --%s cannot be combined with whatif (the profiler "
-                   "drives its own runs and recorders)\n",
-                   k);
-      return 2;
-    }
-  }
-
-  auto is_whatif_key = [](const std::string& k) {
-    return k == "strategies" || k == "knobs" || k == "scales" ||
-           k == "tolerance" || k == "threshold" || k == "baseline" ||
-           k == "json" || k == "top" || k == "no-curve";
-  };
-  WorkloadParams params;
-  for (const auto& [k, v] : args.all()) {
-    if (!is_driver_key(k) && !is_whatif_key(k)) params.set(k, v);
-  }
-
+int run_whatif_cmd(const WorkloadEntry& entry, const Args& args) {
   obs::WhatifOptions opt;
-  opt.jobs = static_cast<int>(driver_int(args, "jobs", 0, 0, 4096));
-  opt.tolerance_pct = driver_double(args, "tolerance", 2.0, 0.0, 100.0);
-  opt.threshold_pct = driver_double(args, "threshold", 5.0, 0.0, 1e6);
-  opt.top = static_cast<int>(driver_int(args, "top", 0, 0, 1 << 20));
+  opt.jobs = jobs_flag(args);
+  opt.tolerance_pct = args.get_double("tolerance", opt.tolerance_pct, 0.0,
+                                      100.0);
+  read_gate(args, opt);
   opt.curve = !args.has("no-curve");
-  opt.knobs = split_csv(args.get("knobs", ""));
-  opt.strategies.clear();
-  for (const std::string& name : split_csv(
-           args.get("strategies", "CPU,GPU-TN"))) {
-    bool found = false;
-    for (Strategy s : kTaxonomyStrategies) {
-      if (name == strategy_name(s)) {
-        opt.strategies.push_back(s);
-        found = true;
+  opt.knobs = split_csv(args.get("knobs"));
+  if (args.has("strategies")) {
+    opt.strategies.clear();
+    for (const std::string& name : split_csv(args.get("strategies"))) {
+      bool found = false;
+      for (Strategy s : kTaxonomyStrategies) {
+        if (name == strategy_name(s)) {
+          opt.strategies.push_back(s);
+          found = true;
+        }
+      }
+      if (!found) {
+        throw std::invalid_argument("unknown strategy: " + name +
+                                    " (CPU, HDN, GDS, GPU-TN, GHN, GNN)");
       }
     }
-    if (!found) {
-      throw std::invalid_argument("unknown strategy: " + name +
-                                  " (CPU, HDN, GDS, GPU-TN, GHN, GNN)");
+  }
+  if (args.has("scales")) {
+    opt.scales.clear();
+    for (const std::string& tok : split_csv(args.get("scales"))) {
+      if (tok == "inf") {
+        opt.scales.push_back(obs::kInfiniteSpeed);
+        continue;
+      }
+      WorkloadParams p;
+      p.set("scales", tok);
+      opt.scales.push_back(p.get_double("scales", 0.0, 1e-6, 1e12));
     }
   }
-  opt.scales.clear();
-  for (const std::string& tok : split_csv(args.get("scales", "0.5,2,inf"))) {
-    if (tok == "inf") {
-      opt.scales.push_back(obs::kInfiniteSpeed);
-      continue;
-    }
-    WorkloadParams p;
-    p.set("scale", tok);
-    opt.scales.push_back(p.get_double("scale", 0.0, 1e-6, 1e12));
-  }
 
-  RunOptions opts;
-  opts.nodes = static_cast<int>(driver_int(args, "nodes", 0, 2, 1 << 16));
-  opts.topology = args.get("topology", "");
-  opts.routing = args.get("routing", "");
-  opts.credits =
-      static_cast<int>(driver_int(args, "credits", -1, -1, 1 << 20));
-
-  WorkloadParams fault;
-  if (args.has("loss")) fault.set("loss", args.get("loss", ""));
-  double loss = fault.get_double("loss", 0.0, 0.0, 1.0);
-  long seed = driver_int(args, "seed", 1, 0, LONG_MAX - (1 << 20));
-  cluster::SystemConfig sys = cluster::SystemConfig::table2_with_loss(
-      loss, static_cast<std::uint64_t>(seed));
-
+  RunSetup setup = run_setup(args);
   // Parse the baseline before burning the matrix: a corrupt file fails in
   // milliseconds, not after the full counterfactual sweep.
-  std::string baseline = args.get("baseline", "");
+  std::string baseline = args.get("baseline");
   obs::WhatifReport base;
   if (!baseline.empty()) base = obs::parse_whatif(slurp(baseline), baseline);
 
-  obs::WhatifReport rep = obs::run_whatif(Registry::instance(), workload,
-                                          params, opts, sys, opt);
+  obs::WhatifReport rep =
+      obs::run_whatif(Registry::instance(), entry.name, args.params,
+                      setup.opts, setup.system(setup.seed), opt);
   std::fputs(obs::render_whatif(rep, opt).c_str(), stdout);
 
   int rc = 0;
   for (const obs::StrategyReport& sr : rep.strategies) {
     if (!sr.baseline_ok) rc = 1;
   }
-  std::string json_path = args.get("json", "");
-  if (!json_path.empty()) {
-    std::ofstream out(json_path);
-    if (out) out << obs::whatif_json(rep) << std::flush;
-    if (out.good()) {
-      std::printf("  whatif: %s\n", json_path.c_str());
-    } else {
-      std::fprintf(stderr, "gputn: cannot write whatif report to '%s'\n",
-                   json_path.c_str());
-      rc = 1;
-    }
+  if (const std::string path = args.get("json"); !path.empty()) {
+    rc |= write_artifact(path, "whatif", "whatif report",
+                         [&](std::ostream& o) { o << obs::whatif_json(rep); });
   }
   if (!baseline.empty()) {
     obs::WhatifDiff d = obs::diff_whatif(rep, base, opt.threshold_pct);
@@ -797,85 +768,47 @@ int run_whatif_cmd(int argc, char** argv) {
   return rc;
 }
 
+/// Parse the command line against the declarations and run the command.
+int dispatch(int argc, char** argv) {
+  const std::string cmd = argv[1];
+  const Command* command = find_command(cmd);
+  const WorkloadEntry* entry = Registry::instance().find(cmd);
+  if (command == nullptr && entry == nullptr) usage();
+  const unsigned bit = command != nullptr ? command->bit : kRun;
+  int first = 2;
+  if (bit == kWhatif) {
+    // WORKLOAD comes first: its declaration decides which flags follow.
+    if (argc < 3 || std::string(argv[2]).rfind("--", 0) == 0) usage();
+    entry = Registry::instance().find(argv[2]);
+    if (entry == nullptr) {
+      throw std::invalid_argument(std::string("unknown workload: ") +
+                                  argv[2]);
+    }
+    first = 3;
+  }
+  const Args args = parse_args(argc, argv, first, cmd, bit, entry,
+                               (bit & (kReport | kAnalyze)) != 0);
+  apply_log_level(args);
+  switch (bit) {
+    case kConfig: return run_config(args);
+    case kSweep: return run_sweep(args);
+    case kReport: return run_report(args);
+    case kAnalyze: return run_analyze(args);
+    case kWhatif: return run_whatif_cmd(*entry, args);
+    default: return run_workload(*entry, args);
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   register_builtin_workloads(Registry::instance());
   if (argc < 2) usage();
-  std::string cmd = argv[1];
-  if (cmd == "report") {
-    // Positional file arguments: dispatched before the Args parser, which
-    // only understands --flags. Unreadable / malformed input surfaces as a
-    // runtime_error -> exit 1; regressions against --baseline also exit 1.
-    try {
-      return run_report(argc, argv);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "gputn: %s\n", e.what());
-      return 1;
-    }
-  }
-  if (cmd == "analyze") {
-    // Same contract as report: unreadable / malformed dumps exit 1, blame
-    // regressions against --baseline exit 1, a self-diff exits 0.
-    try {
-      return run_analyze(argc, argv);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "gputn: %s\n", e.what());
-      return 1;
-    }
-  }
-  if (cmd == "whatif") {
-    // Positional workload argument, so dispatched before the Args parser.
-    // Usage errors (unknown workload / knob / strategy) exit 2; runtime
-    // failures (unreadable or malformed --baseline) exit 1, like report.
-    try {
-      return run_whatif_cmd(argc, argv);
-    } catch (const std::invalid_argument& e) {
-      std::fprintf(stderr, "gputn: %s\n", e.what());
-      return 2;
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "gputn: %s\n", e.what());
-      return 1;
-    }
-  }
-  Args args(argc, argv, 2);
-  apply_log_level(args);
-  // Bad parameters and simulation failures (deadlock watchdog, reliability
-  // giving up under a pathological loss rate) surface as exceptions; report
-  // them as a normal CLI error instead of an abort.
+  // Bad arguments surface as std::invalid_argument (exit 2); unreadable or
+  // malformed input and simulation failures (deadlock watchdog, reliability
+  // giving up under a pathological loss rate) as other exceptions (exit 1).
   try {
-    if (cmd == "config") {
-      WorkloadParams fault;
-      if (args.has("loss")) fault.set("loss", args.get("loss", ""));
-      if (args.has("seed")) fault.set("seed", args.get("seed", ""));
-      auto sys = cluster::SystemConfig::table2_with_loss(
-          fault.get_double("loss", 0.0, 0.0, 1.0),
-          static_cast<std::uint64_t>(fault.get_int("seed", 1, 0, LONG_MAX)));
-      std::printf("%s", sys.describe().c_str());
-      // The DES engine a run with these parameters would use: --shards
-      // workers with the conservative lookahead the fabric derives (the
-      // minimum cross-shard wire propagation = link latency on every
-      // built-in topology).
-      long shards = driver_int(args, "shards", 1, 1, 4096);
-      std::printf("Engine:   %ld shard%s (%s DES), lookahead %.0f ns "
-                  "(min cross-shard wire latency)\n",
-                  shards, shards == 1 ? "" : "s",
-                  shards == 1 ? "sequential" : "conservative parallel",
-                  sim::to_ns(sys.fabric.link_latency));
-      std::printf("\n%s", flag_matrix().c_str());
-      std::printf("\nWhatif knobs (gputn whatif --knobs ...):\n");
-      for (const obs::Knob& k : obs::knob_registry()) {
-        std::printf("  %-15s %-9s %s\n", k.name.c_str(), k.kind.c_str(),
-                    k.description.c_str());
-      }
-      return 0;
-    }
-    if (cmd == "sweep") {
-      return run_sweep(args);
-    }
-    if (const WorkloadEntry* entry = Registry::instance().find(cmd)) {
-      return run_workload(*entry, args);
-    }
+    return dispatch(argc, argv);
   } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "gputn: %s\n", e.what());
     return 2;
@@ -883,5 +816,4 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "gputn: %s\n", e.what());
     return 1;
   }
-  usage();
 }
