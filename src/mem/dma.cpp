@@ -26,8 +26,8 @@ sim::Task<> DmaEngine::copy(Addr dst, Addr src, std::uint64_t n) {
 sim::Task<> DmaEngine::read_into(std::vector<std::byte>& dst, Addr src,
                                  std::uint64_t n) {
   co_await consume_time(n);
-  dst.resize(n);
-  mem_->read(src, dst.data(), n);
+  auto from = std::as_const(*mem_).bytes(src, n);
+  dst.assign(from.begin(), from.end());
 }
 
 sim::Task<> DmaEngine::write_from(Addr dst, const std::vector<std::byte>& src) {

@@ -30,19 +30,11 @@ Addr Memory::alloc(std::uint64_t bytes, std::uint64_t align) {
   return base;
 }
 
-void Memory::check_range(Addr addr, std::size_t n) const {
+void Memory::range_error(Addr addr) const {
   if (is_mmio(addr)) {
     throw std::out_of_range("functional access to MMIO window");
   }
-  if (addr + n > dram_bytes_ || addr + n < addr) {
-    throw std::out_of_range("memory access out of bounds");
-  }
-}
-
-void Memory::write(Addr addr, const void* src, std::size_t n) {
-  check_range(addr, n);
-  std::memcpy(dram_ + addr, src, n);
-  if (watched(addr, n)) [[unlikely]] notify_watchers(addr, n);
+  throw std::out_of_range("memory access out of bounds");
 }
 
 void Memory::notify_watchers(Addr addr, std::size_t n) {
@@ -70,11 +62,6 @@ void Memory::unwatch(WriteWatcher* w) {
     watch_lo_ = std::min(watch_lo_, x.word);
     watch_hi_ = std::max(watch_hi_, x.word + 8);
   }
-}
-
-void Memory::read(Addr addr, void* dst, std::size_t n) const {
-  check_range(addr, n);
-  std::memcpy(dst, dram_ + addr, n);
 }
 
 std::span<std::byte> Memory::bytes(Addr addr, std::size_t n) {

@@ -10,6 +10,7 @@
 // GPU's memory-mapped trigger-address stores reach the NIC (§3.1).
 #pragma once
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -17,6 +18,7 @@
 #include <memory>
 #include <span>
 #include <stdexcept>
+#include <type_traits>
 #include <vector>
 
 #include "sim/units.hpp"
@@ -63,8 +65,20 @@ class Memory {
   std::uint64_t allocated_bytes() const { return next_; }
 
   // -- Functional (zero-time) access --------------------------------------
-  void write(Addr addr, const void* src, std::size_t n);
-  void read(Addr addr, void* dst, std::size_t n) const;
+  // Scalar store()/load() and write()/read() check every access and are
+  // watch-aware: a write that overlaps a watched word is reported. Views
+  // (bytes()/typed()) are checked once per region; a mutable view must
+  // never cover a watched flag word, so readers take const views. Defined
+  // inline, so store()/load() compile to fixed-size copies.
+  void write(Addr addr, const void* src, std::size_t n) {
+    check_range(addr, n);
+    std::memcpy(dram_ + addr, src, n);
+    if (watched(addr, n)) [[unlikely]] notify_watchers(addr, n);
+  }
+  void read(Addr addr, void* dst, std::size_t n) const {
+    check_range(addr, n);
+    std::memcpy(dst, dram_ + addr, n);
+  }
 
   template <typename T>
   void store(Addr addr, const T& value) {
@@ -83,11 +97,19 @@ class Memory {
   std::span<std::byte> bytes(Addr addr, std::size_t n);
   std::span<const std::byte> bytes(Addr addr, std::size_t n) const;
 
-  /// Typed view of a region (addr must be suitably aligned for T).
+  /// Typed view of a region; debug builds assert that addr is aligned
+  /// for T.
   template <typename T>
   std::span<T> typed(Addr addr, std::size_t count) {
+    assert(addr % alignof(T) == 0 && "misaligned typed view");
     auto b = bytes(addr, count * sizeof(T));
     return {reinterpret_cast<T*>(b.data()), count};
+  }
+  template <typename T>
+  std::span<const T> typed(Addr addr, std::size_t count) const {
+    assert(addr % alignof(T) == 0 && "misaligned typed view");
+    auto b = bytes(addr, count * sizeof(T));
+    return {reinterpret_cast<const T*>(b.data()), count};
   }
 
   // -- Write watches -------------------------------------------------------
@@ -107,7 +129,13 @@ class Memory {
   void mmio_store(Addr addr, std::uint64_t value);
 
  private:
-  void check_range(Addr addr, std::size_t n) const;
+  void check_range(Addr addr, std::size_t n) const {
+    if (is_mmio(addr) || addr + n > dram_bytes_ || addr + n < addr)
+        [[unlikely]] {
+      range_error(addr);
+    }
+  }
+  [[noreturn]] void range_error(Addr addr) const;
   bool watched(Addr addr, std::size_t n) const {
     return addr < watch_hi_ && addr + n > watch_lo_;
   }

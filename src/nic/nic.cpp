@@ -144,16 +144,16 @@ void Nic::record_delivery(obs::FlightLeg& leg, std::uint64_t op_tag,
   // bookkeeping (no simulator interaction), so it cannot perturb timing;
   // it is always on, which is what lets every run report a Figure-8-style
   // latency decomposition for free.
-  auto rec = [this](const char* name, sim::Tick from, sim::Tick to) {
+  auto rec = [](sim::LazyStat<sim::Histogram>& h, sim::Tick from,
+                sim::Tick to) {
     if (from < 0 || to < from) return;
-    stats_.histogram(name).add(static_cast<std::uint64_t>((to - from) /
-                                                          1000));
+    h->add(static_cast<std::uint64_t>((to - from) / 1000));
   };
-  if (leg.t_trigger >= 0) rec("lat.trigger_to_fire", leg.t_trigger, leg.t_cmd);
-  rec("lat.tx_queue", leg.t_cmd, leg.t_wire);
-  rec("lat.wire", leg.t_wire, leg.t_rx);
-  rec("lat.rx_to_deposit", leg.t_rx, now);
-  rec("lat.end_to_end", leg.t_trigger >= 0 ? leg.t_trigger : leg.t_cmd, now);
+  if (leg.t_trigger >= 0) rec(lat_trigger_to_fire_, leg.t_trigger, leg.t_cmd);
+  rec(lat_tx_queue_, leg.t_cmd, leg.t_wire);
+  rec(lat_wire_, leg.t_wire, leg.t_rx);
+  rec(lat_rx_to_deposit_, leg.t_rx, now);
+  rec(lat_end_to_end_, leg.t_trigger >= 0 ? leg.t_trigger : leg.t_cmd, now);
   if (trace_ != nullptr && leg.flow != 0) {
     trace_->flow_end(trace_lane_, "msg", "flow", now, leg.flow);
   }
@@ -370,7 +370,7 @@ sim::Task<> Nic::handle_rx(net::Message msg) {
   obs::FlightLeg leg = flight_leg(msg);
   switch (msg.kind) {
     case kPut: {
-      ++stats_.counter("puts_received");
+      ++*puts_received_;
       std::uint64_t trigger_tag_plus1 = msg.h3;
       co_await land_payload(msg.h0, std::move(msg.payload), msg.h1, msg.h2);
       record_delivery(leg, msg.op_tag, msg.tenant);
@@ -383,7 +383,7 @@ sim::Task<> Nic::handle_rx(net::Message msg) {
       break;
     }
     case kSend: {
-      ++stats_.counter("sends_received");
+      ++*sends_received_;
       bool matched = false;
       for (auto it = posted_.begin(); it != posted_.end(); ++it) {
         if ((it->src == kAnySource || it->src == msg.src) &&
@@ -459,7 +459,7 @@ sim::Task<> Nic::handle_rx(net::Message msg) {
       break;
     }
     case kGetReq: {
-      ++stats_.counter("get_reqs_received");
+      ++*get_reqs_received_;
       // The request leg ends here (no payload deposits). Feeds only the
       // flight recorder — the always-on histograms never saw get requests
       // and must not start to (pinned goldens).
@@ -481,7 +481,7 @@ sim::Task<> Nic::handle_rx(net::Message msg) {
       break;
     }
     case kGetReply: {
-      ++stats_.counter("get_replies_received");
+      ++*get_replies_received_;
       co_await land_payload(msg.h0, std::move(msg.payload), msg.h1, msg.h2);
       record_delivery(leg, msg.op_tag, msg.tenant);
       break;

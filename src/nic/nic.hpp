@@ -341,6 +341,20 @@ class Nic : public net::MessageSink {
   std::string gpu_lane_;
   std::string trig_lane_;
   sim::StatRegistry stats_;
+  // Stats bumped once per delivered message, resolved at first use.
+  sim::LazyStat<sim::Histogram> lat_trigger_to_fire_{stats_,
+                                                     "lat.trigger_to_fire"};
+  sim::LazyStat<sim::Histogram> lat_tx_queue_{stats_, "lat.tx_queue"};
+  sim::LazyStat<sim::Histogram> lat_wire_{stats_, "lat.wire"};
+  sim::LazyStat<sim::Histogram> lat_rx_to_deposit_{stats_,
+                                                   "lat.rx_to_deposit"};
+  sim::LazyStat<sim::Histogram> lat_end_to_end_{stats_, "lat.end_to_end"};
+  sim::LazyStat<std::uint64_t> puts_received_{stats_, "puts_received"};
+  sim::LazyStat<std::uint64_t> sends_received_{stats_, "sends_received"};
+  sim::LazyStat<std::uint64_t> get_reqs_received_{stats_,
+                                                  "get_reqs_received"};
+  sim::LazyStat<std::uint64_t> get_replies_received_{stats_,
+                                                     "get_replies_received"};
   /// Declared after stats_ (it publishes counters there) and after
   /// node_id_/rx_queue_ (it addresses ACKs and feeds the RX queue).
   fault::ReliabilityLayer reliability_;

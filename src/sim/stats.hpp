@@ -8,6 +8,7 @@
 #include <limits>
 #include <map>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace gputn::sim {
@@ -155,6 +156,37 @@ class StatRegistry {
   std::map<std::string, std::uint64_t> counters_;
   std::map<std::string, Accumulator> accums_;
   std::map<std::string, Histogram> histos_;
+};
+
+/// A registry counter (T = std::uint64_t) or histogram looked up at its
+/// first use and cached, for stats bumped once per message. The key enters
+/// the registry exactly when a direct counter()/histogram() call would add
+/// it, so the key set and the JSON are unchanged. Registries never erase
+/// entries, so the cached reference stays valid for the registry's life.
+template <typename T>
+class LazyStat {
+ public:
+  LazyStat(StatRegistry& reg, const char* name) : reg_(&reg), name_(name) {}
+  LazyStat(const LazyStat&) = delete;
+  LazyStat& operator=(const LazyStat&) = delete;
+
+  T& operator*() {
+    if (entry_ == nullptr) [[unlikely]] {
+      if constexpr (std::is_same_v<T, Histogram>) {
+        entry_ = &reg_->histogram(name_);
+      } else {
+        static_assert(std::is_same_v<T, std::uint64_t>);
+        entry_ = &reg_->counter(name_);
+      }
+    }
+    return *entry_;
+  }
+  T* operator->() { return &**this; }
+
+ private:
+  StatRegistry* reg_;
+  const char* name_;
+  T* entry_ = nullptr;
 };
 
 /// Serialize a registry to a JSON object with "counters", "accumulators"

@@ -5,6 +5,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/cluster.hpp"
@@ -14,13 +15,48 @@
 
 namespace gputn::workloads {
 
-namespace {
-
-/// Small integer inputs keep fp32 ring sums exact, so verification against
-/// the sequential reduction is bit-accurate regardless of combine order.
-float initial_value(int rank, std::size_t i) {
+float allreduce_input(int rank, std::size_t i) {
   return static_cast<float>(static_cast<int>((rank * 7 + i * 13) % 31) - 15);
 }
+
+void fill_allreduce_input(int rank, std::span<float> v) {
+  std::size_t res = static_cast<std::size_t>(rank * 7) % kInputPeriod;
+  for (float& x : v) {
+    x = static_cast<float>(static_cast<int>(res) - 15);
+    res += 13;
+    if (res >= kInputPeriod) res -= kInputPeriod;
+  }
+}
+
+std::array<float, kInputPeriod> allreduce_expected_sums(int nodes) {
+  std::array<float, kInputPeriod> want{};
+  for (std::size_t i = 0; i < kInputPeriod; ++i) {
+    for (int rk = 0; rk < nodes; ++rk) want[i] += allreduce_input(rk, i);
+  }
+  return want;
+}
+
+AllreduceCheck check_allreduce(std::span<const std::span<const float>> ranks) {
+  AllreduceCheck c;
+  const auto want = allreduce_expected_sums(static_cast<int>(ranks.size()));
+  for (std::span<const float> got : ranks) {
+    const std::size_t stride = got.size() > 100000 ? 997 : 1;
+    const std::size_t step = stride % kInputPeriod;
+    std::size_t res = 0;
+    for (std::size_t i = 0; i < got.size(); i += stride) {
+      if (got[i] != want[res]) {
+        double err = std::abs(static_cast<double>(got[i]) - want[res]);
+        c.max_error = std::max(c.max_error, err);
+        c.correct = false;
+      }
+      res += step;
+      if (res >= kInputPeriod) res -= kInputPeriod;
+    }
+  }
+  return c;
+}
+
+namespace {
 
 struct NodeState {
   mem::Addr vec = 0;               // the fp32 vector being reduced
@@ -50,10 +86,7 @@ struct Workspace {
           st.slice_flag[p].push_back(node.rt().alloc_flag());
         }
       }
-      auto v = node.memory().typed<float>(st.vec, cfg.elements);
-      for (std::size_t i = 0; i < cfg.elements; ++i) {
-        v[i] = initial_value(r, i);
-      }
+      fill_allreduce_input(r, node.memory().typed<float>(st.vec, cfg.elements));
     }
   }
 
@@ -74,7 +107,7 @@ struct Workspace {
 /// Functional combine: add `elems` floats at `src` into `dst`.
 void combine(mem::Memory& m, mem::Addr dst, mem::Addr src, std::size_t elems) {
   auto d = m.typed<float>(dst, elems);
-  auto s = m.typed<float>(src, elems);
+  auto s = std::as_const(m).typed<float>(src, elems);
   for (std::size_t i = 0; i < elems; ++i) d[i] += s[i];
 }
 
@@ -397,20 +430,14 @@ AllreduceResult run_allreduce(const AllreduceConfig& cfg,
   res.total_time = finished_at;
   w.cluster.export_net_stats(res.net_stats, res.total_time);
 
-  // Verify a stride of elements on every rank against the sequential sum.
-  res.correct = true;
-  std::size_t stride = cfg.elements > 100000 ? 997 : 1;
-  for (std::size_t i = 0; i < cfg.elements; i += stride) {
-    float want = 0.0f;
-    for (int rk = 0; rk < cfg.nodes; ++rk) want += initial_value(rk, i);
-    for (int rk = 0; rk < cfg.nodes; ++rk) {
-      float got = w.cluster.node(rk).memory().load<float>(
-          w.states[rk].vec + i * sizeof(float));
-      double err = std::abs(static_cast<double>(got) - want);
-      res.max_error = std::max(res.max_error, err);
-      if (err != 0.0) res.correct = false;
-    }
+  std::vector<std::span<const float>> ranks;
+  for (int rk = 0; rk < cfg.nodes; ++rk) {
+    ranks.push_back(std::as_const(w.cluster.node(rk).memory())
+                        .typed<float>(w.states[rk].vec, cfg.elements));
   }
+  AllreduceCheck check = check_allreduce(ranks);
+  res.correct = check.correct;
+  res.max_error = check.max_error;
   return res;
 }
 

@@ -18,6 +18,10 @@
 // the sequential sum of all input vectors.
 #pragma once
 
+#include <array>
+#include <cstddef>
+#include <span>
+
 #include "cluster/config.hpp"
 #include "workloads/options.hpp"
 #include "workloads/strategy.hpp"
@@ -49,5 +53,31 @@ struct AllreduceResult : ResultBase {
 AllreduceResult run_allreduce(const AllreduceConfig& cfg,
                               const cluster::SystemConfig& sys);
 AllreduceResult run_allreduce(const AllreduceConfig& cfg);
+
+// -- Data plane: the inputs and the final check, by the range -------------
+
+/// Input element i of `rank`. Small integers keep fp32 ring sums exact, so
+/// verification against the sequential reduction is bit-accurate
+/// regardless of combine order. Periodic in i with period kInputPeriod.
+float allreduce_input(int rank, std::size_t i);
+inline constexpr std::size_t kInputPeriod = 31;
+
+/// v[i] = allreduce_input(rank, i) for every i, stepping the residue
+/// instead of taking a modulo per element.
+void fill_allreduce_input(int rank, std::span<float> v);
+
+/// Entry i % kInputPeriod is the sequential sum, in rank order, of
+/// allreduce_input(rk, i) over ranks 0..nodes-1.
+std::array<float, kInputPeriod> allreduce_expected_sums(int nodes);
+
+struct AllreduceCheck {
+  bool correct = true;
+  double max_error = 0.0;  ///< max |got - want| over the checked elements
+};
+
+/// The final check over every rank's result vector (index = rank; all the
+/// same length): each stride-th element, stride 1 up to 100 000 elements
+/// and 997 above, must equal the sequential sum of the inputs.
+AllreduceCheck check_allreduce(std::span<const std::span<const float>> ranks);
 
 }  // namespace gputn::workloads

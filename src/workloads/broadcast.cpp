@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/cluster.hpp"
@@ -189,7 +190,8 @@ BroadcastResult run_broadcast(const BroadcastConfig& cfg,
   w.cluster.export_net_stats(res.net_stats, res.total_time);
   res.correct = true;
   for (int n = 0; n < cfg.nodes && res.correct; ++n) {
-    auto v = w.cluster.node(n).memory().typed<float>(w.vec[n], w.elems);
+    auto v = std::as_const(w.cluster.node(n).memory())
+                 .typed<float>(w.vec[n], w.elems);
     for (std::size_t i = 0; i < w.elems; ++i) {
       if (v[i] != pattern(i)) {
         res.correct = false;

@@ -1,9 +1,11 @@
 #include "workloads/jacobi.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/cluster.hpp"
@@ -52,11 +54,6 @@ std::uint64_t halo_tag(int iter, int side) {
   return static_cast<std::uint64_t>(iter) * 4 + static_cast<std::uint64_t>(side);
 }
 
-/// Deterministic initial condition over the global torus.
-double initial_value(int gi, int gj) {
-  return static_cast<double>((gi * 31 + gj * 17) % 97) / 97.0;
-}
-
 /// Per-node simulated state: an (n+2)^2 ghost-padded grid pair plus packed
 /// edge (tx) and halo landing (rx) buffers, all in node memory.
 struct NodeData {
@@ -73,10 +70,19 @@ struct NodeData {
   std::size_t row_bytes() const { return static_cast<std::size_t>(n) * 8; }
   std::size_t pitch() const { return static_cast<std::size_t>(n) + 2; }
 
-  mem::Addr at(int gridsel, int i, int j) const {
-    // i, j in [0, n+2): ghost-padded local coordinates.
-    return grid[gridsel] +
-           (static_cast<std::size_t>(i) * pitch() + j) * sizeof(double);
+  // One checked view per region. Grids and edge buffers hold no flag
+  // word, so mutable views over them are safe; reads take const views.
+  std::span<double> grid_view(int gridsel) {
+    return mem->typed<double>(grid[gridsel], pitch() * pitch());
+  }
+  std::span<const double> grid_cview(int gridsel) const {
+    return std::as_const(*mem).typed<double>(grid[gridsel], pitch() * pitch());
+  }
+  std::span<double> edge_view(mem::Addr edge) {
+    return mem->typed<double>(edge, static_cast<std::size_t>(n));
+  }
+  std::span<const double> edge_cview(mem::Addr edge) const {
+    return std::as_const(*mem).typed<double>(edge, static_cast<std::size_t>(n));
   }
 
   void alloc(mem::Memory& m, int n_, int id_) {
@@ -100,46 +106,54 @@ struct NodeData {
     }
   }
 
+  // Grid index of ghost-padded local coordinates i, j in [0, n+2).
+  std::size_t at(int i, int j) const {
+    return static_cast<std::size_t>(i) * pitch() + static_cast<std::size_t>(j);
+  }
+
   void init_values() {
     int r0 = (id / kCols) * n, c0 = (id % kCols) * n;
+    auto g0 = grid_view(0);
+    auto g1 = grid_view(1);
     for (int i = 0; i < n; ++i) {
       for (int j = 0; j < n; ++j) {
-        double v = initial_value(r0 + i, c0 + j);
-        mem->store<double>(at(0, i + 1, j + 1), v);
-        mem->store<double>(at(1, i + 1, j + 1), 0.0);
+        g0[at(i + 1, j + 1)] = jacobi_initial_value(r0 + i, c0 + j);
+        g1[at(i + 1, j + 1)] = 0.0;
       }
     }
   }
 
   /// Pack the four interior edges of `gridsel` into tx[parity].
   void pack_edges(int gridsel, int parity) {
+    auto g = grid_cview(gridsel);
+    auto north = edge_view(tx[parity][kNorth]);
+    auto south = edge_view(tx[parity][kSouth]);
+    auto west = edge_view(tx[parity][kWest]);
+    auto east = edge_view(tx[parity][kEast]);
     for (int j = 0; j < n; ++j) {
-      mem->store<double>(tx[parity][kNorth] + j * 8,
-                         mem->load<double>(at(gridsel, 1, j + 1)));
-      mem->store<double>(tx[parity][kSouth] + j * 8,
-                         mem->load<double>(at(gridsel, n, j + 1)));
+      north[j] = g[at(1, j + 1)];
+      south[j] = g[at(n, j + 1)];
     }
     for (int i = 0; i < n; ++i) {
-      mem->store<double>(tx[parity][kWest] + i * 8,
-                         mem->load<double>(at(gridsel, i + 1, 1)));
-      mem->store<double>(tx[parity][kEast] + i * 8,
-                         mem->load<double>(at(gridsel, i + 1, n)));
+      west[i] = g[at(i + 1, 1)];
+      east[i] = g[at(i + 1, n)];
     }
   }
 
   /// Unpack rx[parity] halos into the ghost layer of `gridsel`.
   void unpack_halos(int gridsel, int parity) {
+    auto g = grid_view(gridsel);
+    auto north = edge_cview(rx[parity][kNorth]);
+    auto south = edge_cview(rx[parity][kSouth]);
+    auto west = edge_cview(rx[parity][kWest]);
+    auto east = edge_cview(rx[parity][kEast]);
     for (int j = 0; j < n; ++j) {
-      mem->store<double>(at(gridsel, 0, j + 1),
-                         mem->load<double>(rx[parity][kNorth] + j * 8));
-      mem->store<double>(at(gridsel, n + 1, j + 1),
-                         mem->load<double>(rx[parity][kSouth] + j * 8));
+      g[at(0, j + 1)] = north[j];
+      g[at(n + 1, j + 1)] = south[j];
     }
     for (int i = 0; i < n; ++i) {
-      mem->store<double>(at(gridsel, i + 1, 0),
-                         mem->load<double>(rx[parity][kWest] + i * 8));
-      mem->store<double>(at(gridsel, i + 1, n + 1),
-                         mem->load<double>(rx[parity][kEast] + i * 8));
+      g[at(i + 1, 0)] = west[i];
+      g[at(i + 1, n + 1)] = east[i];
     }
   }
 
@@ -147,13 +161,12 @@ struct NodeData {
   /// executing agent).
   void stencil() {
     int nx = 1 - cur;
+    auto from = grid_cview(cur);
+    auto to = grid_view(nx);
     for (int i = 1; i <= n; ++i) {
       for (int j = 1; j <= n; ++j) {
-        double v = 0.25 * (mem->load<double>(at(cur, i - 1, j)) +
-                           mem->load<double>(at(cur, i + 1, j)) +
-                           mem->load<double>(at(cur, i, j - 1)) +
-                           mem->load<double>(at(cur, i, j + 1)));
-        mem->store<double>(at(nx, i, j), v);
+        to[at(i, j)] = 0.25 * (from[at(i - 1, j)] + from[at(i + 1, j)] +
+                               from[at(i, j - 1)] + from[at(i, j + 1)]);
       }
     }
     cur = nx;
@@ -394,22 +407,31 @@ sim::Task<> gputn_node(Workspace& w, int id) {
   co_await rec->done.wait();
 }
 
-/// Scalar reference: the full 2N x 2N torus.
-std::vector<double> reference(int n, int iterations) {
-  int g = 2 * n;
-  std::vector<double> cur(static_cast<std::size_t>(g) * g);
+}  // namespace
+
+double jacobi_initial_value(int gi, int gj) {
+  return static_cast<double>((gi * 31 + gj * 17) % 97) / 97.0;
+}
+
+std::vector<double> jacobi_reference(int n, int iterations) {
+  const int g = 2 * n;
+  const std::size_t gs = static_cast<std::size_t>(g);
+  std::vector<double> cur(gs * gs);
   std::vector<double> nxt(cur.size());
   for (int i = 0; i < g; ++i) {
-    for (int j = 0; j < g; ++j) cur[static_cast<std::size_t>(i) * g + j] = initial_value(i, j);
+    for (int j = 0; j < g; ++j) cur[i * gs + j] = jacobi_initial_value(i, j);
   }
-  auto at = [g](std::vector<double>& v, int i, int j) -> double& {
-    return v[static_cast<std::size_t>((i + g) % g) * g + (j + g) % g];
-  };
+  // Torus wrap resolved once per row and per edge column, not per access.
   for (int k = 0; k < iterations; ++k) {
     for (int i = 0; i < g; ++i) {
+      const double* north = &cur[(i == 0 ? g - 1 : i - 1) * gs];
+      const double* row = &cur[i * gs];
+      const double* south = &cur[(i == g - 1 ? 0 : i + 1) * gs];
+      double* out = &nxt[i * gs];
       for (int j = 0; j < g; ++j) {
-        at(nxt, i, j) = 0.25 * (at(cur, i - 1, j) + at(cur, i + 1, j) +
-                                at(cur, i, j - 1) + at(cur, i, j + 1));
+        const int west = j == 0 ? g - 1 : j - 1;
+        const int east = j == g - 1 ? 0 : j + 1;
+        out[j] = 0.25 * (north[j] + south[j] + row[west] + row[east]);
       }
     }
     cur.swap(nxt);
@@ -417,7 +439,34 @@ std::vector<double> reference(int n, int iterations) {
   return cur;
 }
 
-}  // namespace
+JacobiCheck check_jacobi(std::span<const std::span<const double>> grids,
+                         int n, int iterations) {
+  if (grids.size() != static_cast<std::size_t>(kNodes)) {
+    throw std::invalid_argument("check_jacobi: one grid per node");
+  }
+  const std::vector<double> ref = jacobi_reference(n, iterations);
+  const std::size_t g = 2 * static_cast<std::size_t>(n);
+  const std::size_t pitch = static_cast<std::size_t>(n) + 2;
+  JacobiCheck c;
+  for (int node = 0; node < kNodes && c.correct; ++node) {
+    const std::size_t r0 = static_cast<std::size_t>(node / kCols * n);
+    const std::size_t c0 = static_cast<std::size_t>(node % kCols * n);
+    for (int i = 0; i < n && c.correct; ++i) {
+      const double* got = &grids[node][(i + 1) * pitch + 1];
+      const double* want = &ref[(r0 + i) * g + c0];
+      for (int j = 0; j < n; ++j) {
+        if (node == 0) c.checksum += got[j];
+        const double err = std::abs(got[j] - want[j]);
+        c.max_error = std::max(c.max_error, err);
+        if (!(err <= 1e-12)) {  // a NaN fails too
+          c.correct = false;
+          break;
+        }
+      }
+    }
+  }
+  return c;
+}
 
 JacobiResult run_jacobi(const JacobiConfig& cfg,
                         const cluster::SystemConfig& sys) {
@@ -463,27 +512,13 @@ JacobiResult run_jacobi(const JacobiConfig& cfg,
   res.total_time = finished_at;
   w.cluster.export_net_stats(res.net_stats, res.total_time);
 
-  auto ref = reference(cfg.n, cfg.iterations);
-  int g = 2 * cfg.n;
-  bool ok = true;
-  double checksum = 0.0;
-  for (int node = 0; node < kNodes && ok; ++node) {
-    auto& d = w.data[node];
-    int r0 = (node / kCols) * cfg.n, c0 = (node % kCols) * cfg.n;
-    for (int i = 0; i < cfg.n && ok; ++i) {
-      for (int j = 0; j < cfg.n; ++j) {
-        double got = w.data[node].mem->load<double>(d.at(d.cur, i + 1, j + 1));
-        double want = ref[static_cast<std::size_t>(r0 + i) * g + (c0 + j)];
-        if (node == 0) checksum += got;
-        if (std::abs(got - want) > 1e-12) {
-          ok = false;
-          break;
-        }
-      }
-    }
+  std::span<const double> grids[kNodes];
+  for (int node = 0; node < kNodes; ++node) {
+    grids[node] = w.data[node].grid_cview(w.data[node].cur);
   }
-  res.correct = ok;
-  res.checksum = checksum;
+  JacobiCheck check = check_jacobi(grids, cfg.n, cfg.iterations);
+  res.correct = check.correct;
+  res.checksum = check.checksum;
   return res;
 }
 

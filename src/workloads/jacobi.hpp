@@ -20,6 +20,9 @@
 // against a scalar reference of the global torus.
 #pragma once
 
+#include <span>
+#include <vector>
+
 #include "cluster/config.hpp"
 #include "workloads/options.hpp"
 #include "workloads/strategy.hpp"
@@ -56,5 +59,27 @@ struct JacobiResult : ResultBase {
 JacobiResult run_jacobi(const JacobiConfig& cfg,
                         const cluster::SystemConfig& sys);
 JacobiResult run_jacobi(const JacobiConfig& cfg);
+
+// -- Data plane: the reference and the final check ------------------------
+
+/// Deterministic initial condition at (gi, gj) of the global torus.
+double jacobi_initial_value(int gi, int gj);
+
+/// Scalar reference: the full 2n x 2n torus (row-major) after
+/// `iterations` 5-point steps, each point summed north, south, west, east.
+std::vector<double> jacobi_reference(int n, int iterations);
+
+struct JacobiCheck {
+  bool correct = true;
+  double checksum = 0.0;   ///< sum over node 0's interior
+  double max_error = 0.0;  ///< max |got - want| over the checked points
+};
+
+/// The final check over the four nodes' final grids (index = node id, each
+/// (n+2)^2 ghost-padded, row-major): every interior point must be within
+/// 1e-12 of jacobi_reference. The check stops at the first point that is
+/// not, so checksum and max_error then cover the points up to it.
+JacobiCheck check_jacobi(std::span<const std::span<const double>> grids,
+                         int n, int iterations);
 
 }  // namespace gputn::workloads

@@ -294,7 +294,8 @@ void register_builtin_workloads(Registry& reg) {
             {"compute-ns", "NS", "server work to apply one put"},
             {"batch", "B", "client QP doorbell batch size"},
             {"rate-limit", "OPS", "NIC command rate limit (0 = none)"}},
-           run_serve_entry});
+           run_serve_entry,
+           /*seeded=*/true});
 }
 
 }  // namespace gputn::workloads

@@ -70,6 +70,9 @@ struct WorkloadEntry {
   std::string description;   ///< one-liner for the usage text
   std::vector<ParamSpec> params;  ///< every parameter `runner` reads
   WorkloadRunner runner;
+  /// The run seed draws part of the workload itself (serve's request
+  /// schedule), so seed replicas differ even without fault injection.
+  bool seeded = false;
 
   /// The declaration of `--key`, or nullptr when this workload has none.
   const ParamSpec* param(const std::string& key) const;

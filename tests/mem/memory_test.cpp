@@ -7,6 +7,7 @@
 #include <new>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 
 namespace gputn::mem {
 namespace {
@@ -150,6 +151,19 @@ TEST(Memory, FunctionalAccessToMmioThrows) {
   EXPECT_THROW(m.read(w, &v, 8), std::out_of_range);
 }
 
+TEST(Memory, ScalarLoadStoreStayChecked) {
+  Memory m(4096);
+  RecordingHandler h;
+  Addr w = m.map_mmio(8, &h);
+  EXPECT_THROW(m.store<std::uint64_t>(4090, 1), std::out_of_range);
+  EXPECT_THROW((void)m.load<std::uint64_t>(4090), std::out_of_range);
+  EXPECT_THROW(m.store<std::uint64_t>(w, 1), std::out_of_range);
+  EXPECT_THROW((void)m.load<std::uint64_t>(w), std::out_of_range);
+  EXPECT_EQ(h.stores, 0) << "functional stores never reach MMIO";
+  m.store<std::uint64_t>(4088, 5);  // the last word is in bounds
+  EXPECT_EQ(m.load<std::uint64_t>(4088), 5u);
+}
+
 struct CountingWatcher final : WriteWatcher {
   int writes = 0;
   bool gone = false;
@@ -179,7 +193,28 @@ TEST(Memory, WatchHearsOverlappingWritesOnly) {
   EXPECT_TRUE(w.gone) << "the watcher hears the memory go away";
 }
 
+TEST(Memory, ConstTypedViewReadsWatchedWords) {
+  Memory m(1 << 20);
+  Addr flag = m.alloc(64);
+  CountingWatcher w;
+  m.watch(flag + 8, &w, 0);
+  m.store<std::uint64_t>(flag + 8, 7);
+  std::span<const std::uint64_t> v =
+      std::as_const(m).typed<std::uint64_t>(flag, 2);
+  EXPECT_EQ(v[1], 7u) << "readers may cover a flag word";
+  m.unwatch(&w);
+}
+
 #ifndef NDEBUG
+TEST(MemoryDeathTest, MisalignedTypedViewAsserts) {
+  Memory m(1 << 20);
+  Addr a = m.alloc(64);
+  (void)m.typed<std::uint32_t>(a + 4, 2);  // aligned for its own type
+  EXPECT_DEATH((void)m.typed<std::uint64_t>(a + 4, 2), "misaligned typed view");
+  EXPECT_DEATH((void)std::as_const(m).typed<double>(a + 1, 1),
+               "misaligned typed view");
+}
+
 TEST(MemoryDeathTest, MutableViewOverWatchedWordAsserts) {
   Memory m(1 << 20);
   Addr flag = m.alloc(64);

@@ -29,9 +29,11 @@
 // --seed is the run's one seed: it seeds fault injection and, for serve,
 // the request schedule. --replicas R runs seeds S..S+R-1 as an exp::Plan,
 // so each replica differs in both; results come in seed order and are
-// bit-identical for every --jobs value. --shards splits one run over DES
-// worker threads with bit-identical output. The pairwise run-mode x
-// observer rules are workloads::kFlagRules, printed by `gputn config`.
+// bit-identical for every --jobs value. Replicas the seed cannot tell
+// apart (no --loss, no --flight, not serve) draw a stderr warning.
+// --shards splits one run over DES worker threads with bit-identical
+// output. The pairwise run-mode x observer rules are
+// workloads::kFlagRules, printed by `gputn config`.
 //
 // `gputn report` ranks resources by busy fraction from stats/sweep JSON;
 // `gputn analyze` turns a --flight dump into critical-path blame tables
@@ -536,6 +538,13 @@ int run_workload(const WorkloadEntry& entry, const Args& args) {
     // Seed-replicated run through the parallel engine. Each replica is an
     // isolated simulation; the merged report/JSON is in plan (seed) order
     // and bit-identical for any --jobs value.
+    if (!entry.seeded && setup.loss == 0.0 && !args.has("flight")) {
+      std::fprintf(stderr,
+                   "gputn: warning: the %ld replicas are bit-identical: the "
+                   "seed reaches only fault injection (--loss) and flight "
+                   "sampling (--flight), and this run has neither\n",
+                   replicas);
+    }
     std::vector<std::unique_ptr<obs::FlightRecorder>> flights;
     if (args.has("flight")) {
       for (long r = 0; r < replicas; ++r) {
